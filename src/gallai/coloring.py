@@ -43,8 +43,9 @@ class EdgeColoring:
     wider than the set of colors actually used; `colors_used()` reports
     the latter.
 
-    Per-color adjacency is exposed as vertex bitmasks via `neighbors`,
-    which is what every detector in this package is built on.
+    Per-color adjacency is exposed as vertex bitmasks, one vertex at a
+    time via `neighbors` or one color at a time via `rows`, which is
+    what every detector in this package is built on.
     """
 
     __slots__ = ("n", "k", "_colors", "_masks")
@@ -65,8 +66,9 @@ class EdgeColoring:
             for v in range(u + 1, n):
                 c = colors[i]
                 i += 1
-                if not (1 <= c <= k) or not isinstance(c, int):
-                    raise ValueError(f"edge ({u},{v}) has color {c!r}, outside 1..{k}")
+                # type before range; bool is an int subclass, not a color
+                if type(c) is not int or not 1 <= c <= k:
+                    raise ValueError(f"edge ({u},{v}) has color {c!r}, not in 1..{k}")
                 row = masks.get(c)
                 if row is None:
                     row = masks[c] = [0] * n
@@ -75,7 +77,7 @@ class EdgeColoring:
         self.n = n
         self.k = k
         self._colors = colors
-        self._masks = masks
+        self._masks = {c: tuple(row) for c, row in masks.items()}
 
     # -- basic queries -------------------------------------------------
 
@@ -94,6 +96,12 @@ class EdgeColoring:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         row = self._masks.get(color)
         return row[v] if row is not None else 0
+
+    def rows(self, color: int) -> tuple[int, ...]:
+        """``neighbors(color, v)`` for every vertex v, as one tuple (zeros
+        for an unused color): the shape :mod:`gallai.kernels` runs on."""
+        row = self._masks.get(color)
+        return row if row is not None else (0,) * self.n
 
     def colors_used(self) -> frozenset[int]:
         return frozenset(self._masks)

@@ -1,9 +1,16 @@
 """Detectors: rainbow triangles and monochromatic patterns.
 
-Everything here runs on the per-color adjacency bitmasks kept by
+Everything here runs on the per-color adjacency rows kept by
 :class:`EdgeColoring`, with small-integer set algebra instead of
 explicit subset enumeration.  Scan orders are fixed and documented, so
 each detector is deterministic: same input, same certificate.
+
+The mask kernels live in :mod:`gallai.kernels`: `path3_within` for
+paths (also behind `has_mono_p3_in_color` and `wheel_from_mono_pair`),
+`cycle4_within` for 4-cycles and, once per hub, for 4-wheels,
+`clique_within` for cliques, `embed` along a `plan` for the rims of
+other wheels and for explicit patterns, and `mono_between` for
+`mono_complete_between`.
 
 Detectors return :class:`Embedding` certificates (or ``None``), never
 bare booleans, so callers can re-validate any reported hit.
@@ -11,10 +18,22 @@ bare booleans, so callers can re-validate any reported hit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .coloring import EdgeColoring
 from .errors import PreconditionError
+from .kernels import (
+    Rows,
+    above,
+    bits,
+    clique_within,
+    cycle4_within,
+    embed,
+    least,
+    mono_between,
+    path3_within,
+    plan,
+)
 from .patterns import Embedding, PatternSpec
 
 __all__ = [
@@ -27,24 +46,6 @@ __all__ = [
 
 _TRIANGLE = PatternSpec.clique(3)
 _WHEEL4 = PatternSpec.wheel(4)
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
-def _above(v: int) -> int:
-    # mask of all vertices strictly greater than v
-    return ~((1 << (v + 1)) - 1)
-
-
-def _two_least(x: int) -> tuple[int, int]:
-    a = (x & -x).bit_length() - 1
-    x &= x - 1
-    return a, (x & -x).bit_length() - 1
 
 
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
@@ -66,139 +67,30 @@ def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
             bad = c.neighbors(a, u) | c.neighbors(a, v)
             for col in used:
                 bad |= c.neighbors(col, u) & c.neighbors(col, v)
-            cand = _above(v) & ~bad & (c.vertex_mask)
+            cand = above(v) & ~bad & (c.vertex_mask)
             if cand:
-                w = (cand & -cand).bit_length() - 1
-                return Embedding(_TRIANGLE, None, (u, v, w))
+                return Embedding(_TRIANGLE, None, (u, v, least(cand)))
     return None
 
 
-def _find_path3(c: EdgeColoring, i: int) -> Optional[tuple[int, ...]]:
-    # triples (v1, v2, v3), v1 < v3, ascending in (v1, v2, v3)
-    n = c.n
-    for v1 in range(n):
-        nb1 = c.neighbors(i, v1)
-        for v2 in _bits(nb1):
-            cand = c.neighbors(i, v2) & _above(v1) & ~(1 << v2)
-            if cand:
-                v3 = (cand & -cand).bit_length() - 1
-                return (v1, v2, v3)
-    return None
-
-
-def _find_cycle4(c: EdgeColoring, i: int) -> Optional[tuple[int, ...]]:
-    # opposite pair (a, b) plus two common neighbors x < y
-    n = c.n
-    for a in range(n):
-        na = c.neighbors(i, a)
-        for b in range(a + 1, n):
-            common = na & c.neighbors(i, b) & ~(1 << a) & ~(1 << b)
-            if common.bit_count() >= 2:
-                x, y = _two_least(common)
-                return (a, x, b, y)
-    return None
-
-
-def _find_wheel4(c: EdgeColoring, i: int) -> Optional[tuple[int, ...]]:
-    # hub first, then a 4-cycle inside the hub's neighborhood
-    n = c.n
-    for hub in range(n):
-        ring = c.neighbors(i, hub)
-        if ring.bit_count() < 4:
-            continue
-        for a in _bits(ring):
-            na = c.neighbors(i, a) & ring
-            for b in _bits(ring & _above(a)):
-                common = na & c.neighbors(i, b) & ~(1 << b)
-                if common.bit_count() >= 2:
-                    x, y = _two_least(common)
-                    return (a, x, b, y, hub)
-    return None
-
-
-def _find_cycle_within(c: EdgeColoring, i: int, mask: int, m: int):
-    # lexicographically least m-cycle induced on `mask`, as a closed path
-    # starting at its least vertex
-    for s in _bits(mask):
-        allowed = mask & _above(s)
-        start_nb = c.neighbors(i, s)
-
-        def ext(path: list[int], used: int):
-            last = path[-1]
-            if len(path) == m:
-                return path if start_nb & (1 << last) else None
-            for w in _bits(c.neighbors(i, last) & allowed & ~used):
-                got = ext(path + [w], used | (1 << w))
-                if got:
-                    return got
-            return None
-
-        found = ext([s], 0)
-        if found:
-            return found
-    return None
-
-
-def _find_wheel(c: EdgeColoring, i: int, m: int) -> Optional[tuple[int, ...]]:
-    for hub in range(c.n):
-        ring = c.neighbors(i, hub)
+def _find_wheel(adj: Rows, m: int) -> Optional[tuple[int, ...]]:
+    # hubs ascending, then the first m-cycle inside the hub's neighborhood:
+    # for m = 4 the first 4-cycle by opposite corners, otherwise the least
+    # closed path from the cycle's least vertex s, all others above s
+    rim = plan(m, [(j, (j + 1) % m) for j in range(m)], range(m))[1:]
+    host = [0] * m
+    for hub, ring in enumerate(adj):
         if ring.bit_count() < m:
             continue
-        cyc = _find_cycle_within(c, i, ring, m)
-        if cyc:
-            return (*cyc, hub)
-    return None
-
-
-def _find_clique(c: EdgeColoring, i: int, t: int) -> Optional[tuple[int, ...]]:
-    def ext(prefix: list[int], cand: int):
-        if len(prefix) == t:
-            return tuple(prefix)
-        for w in _bits(cand):
-            got = ext(prefix + [w], cand & c.neighbors(i, w) & _above(w))
-            if got:
-                return got
-        return None
-
-    return ext([], c.vertex_mask)
-
-
-def _find_explicit(c: EdgeColoring, i: int, pat: PatternSpec):
-    order = pat.order
-    nbrs: list[list[int]] = [[] for _ in range(order)]
-    for u, v in pat.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    # assign pattern vertices in BFS order from 0; the pattern is
-    # connected, so every later slot has a placed neighbor to anchor on
-    bfs = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(bfs):
-        for w in sorted(nbrs[bfs[qi]]):
-            if w not in seen:
-                seen.add(w)
-                bfs.append(w)
-        qi += 1
-    host = [-1] * order
-
-    def ext(slot: int, used: int):
-        if slot == len(bfs):
-            return True
-        pv = bfs[slot]
-        cand = c.vertex_mask & ~used
-        for q in nbrs[pv]:
-            if host[q] >= 0:
-                cand &= c.neighbors(i, host[q])
-        for w in _bits(cand):
-            host[pv] = w
-            if ext(slot + 1, used | (1 << w)):
-                return True
-        host[pv] = -1
-        return False
-
-    if ext(0, 0):
-        return tuple(host)
+        if m == 4:
+            cyc = cycle4_within(adj, ring)
+            if cyc:
+                return (*cyc, hub)
+        else:
+            for s in bits(ring):
+                host[0] = s
+                if embed(adj, rim, host, 0, ring & above(s)):
+                    return (*host, hub)
     return None
 
 
@@ -218,34 +110,37 @@ def find_mono(
     if pattern.order > c.n:
         return None
     colors = [color] if color is not None else sorted(c.colors_used())
+    everyone = c.vertex_mask
     for i in colors:
         if i not in c.colors_used():
             continue
+        adj = c.rows(i)
         if pattern.kind == "path3":
-            vm = _find_path3(c, i)
+            vm = path3_within(adj, everyone)
         elif pattern.kind == "cycle4":
-            vm = _find_cycle4(c, i)
+            vm = cycle4_within(adj, everyone)
         elif pattern.kind == "wheel":
-            m = pattern.order - 1
-            vm = _find_wheel4(c, i) if m == 4 else _find_wheel(c, i, m)
+            vm = _find_wheel(adj, pattern.order - 1)
         elif pattern.kind == "clique":
-            vm = _find_clique(c, i, pattern.order)
+            vm = clique_within(adj, everyone, pattern.order)
         else:
-            vm = _find_explicit(c, i, pattern)
+            # pattern vertices in BFS order from 0; the pattern is connected,
+            # so every later slot has a placed neighbor to anchor on
+            vm = [0] * pattern.order
+            slots = plan(pattern.order, pattern.edges, (0,))
+            if not embed(adj, slots, vm, 0, everyone):
+                vm = None
         if vm is not None:
             return Embedding(pattern, i, tuple(vm))
     return None
 
 
 def has_mono_p3_in_color(c: EdgeColoring, color: int) -> bool:
-    """True iff some vertex has two neighbors in the given color.
-
-    Fast path equivalent to ``find_mono(c, PatternSpec.path3(), color)
-    is not None``.
-    """
+    """True iff some vertex has two neighbors in the given color: the
+    same answer as ``find_mono(c, PatternSpec.path3(), color) is not None``."""
     if color < 1:
         raise ValueError(f"colors are positive, got {color}")
-    return any(c.neighbors(color, v).bit_count() >= 2 for v in range(c.n))
+    return path3_within(c.rows(color), c.vertex_mask) is not None
 
 
 def _mask_of(c: EdgeColoring, vertices: Iterable[int], name: str) -> int:
@@ -269,13 +164,7 @@ def mono_complete_between(c: EdgeColoring, side_a, side_b) -> Optional[int]:
     mb = _mask_of(c, side_b, "B")
     if ma & mb:
         raise ValueError("A and B overlap")
-    a0 = (ma & -ma).bit_length() - 1
-    b0 = (mb & -mb).bit_length() - 1
-    cand = c.color_of(a0, b0)
-    for a in _bits(ma):
-        if mb & ~c.neighbors(cand, a):
-            return None
-    return cand
+    return mono_between(c, ma, mb)
 
 
 def wheel_from_mono_pair(
@@ -294,15 +183,14 @@ def wheel_from_mono_pair(
     if color < 1:
         raise ValueError(f"colors are positive, got {color}")
     rest = c.vertex_mask & ~(1 << x) & ~(1 << y)
+    adj = c.rows(color)
     for z in (x, y):
-        if c.neighbors(color, z) & rest != rest:
+        if adj[z] & rest != rest:
             raise PreconditionError(
                 f"vertex {z} is not joined to the rest in color {color}"
             )
-    for v1 in _bits(rest):
-        for v2 in _bits(c.neighbors(color, v1) & rest):
-            cand = c.neighbors(color, v2) & rest & _above(v1) & ~(1 << v2)
-            if cand:
-                v3 = (cand & -cand).bit_length() - 1
-                return Embedding(_WHEEL4, color, (v1, x, v3, y, v2))
-    return None
+    path = path3_within(adj, rest)
+    if path is None:
+        return None
+    v1, v2, v3 = path
+    return Embedding(_WHEEL4, color, (v1, x, v3, y, v2))

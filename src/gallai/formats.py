@@ -182,23 +182,26 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
     if data.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported version {data.get('version')!r}")
     try:
-        n = int(data["n"])
-        k = int(data["k"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed payload: {exc}") from exc
+        n, k, edges = data["n"], data["k"], data["edges"]
+    except KeyError as exc:
+        raise FormatError(f"malformed payload: missing {exc}") from exc
+    # exact ints only: json gives floats, bools and strings their own types
+    if type(n) is not int or type(k) is not int:
+        raise FormatError(f"'n' and 'k' must be integers, got {n!r} {k!r}")
     if n < 1 or k < 1:
         raise FormatError(f"need n >= 1 and k >= 1, got {n} {k}")
     if not isinstance(edges, list):
         raise FormatError("'edges' must be a list")
+    # check the count before allocating anything sized by the header
     m = n * (n - 1) // 2
+    if len(edges) != m:
+        raise FormatError(f"expected {m} edges for n={n}, got {len(edges)}")
     colors = [0] * m
     seen = [False] * m
     for item in edges:
-        try:
-            u, v, col = (int(x) for x in item)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad edge entry {item!r}") from exc
+        if not isinstance(item, (list, tuple)) or [type(x) for x in item] != [int] * 3:
+            raise FormatError(f"bad edge entry {item!r}")
+        u, v, col = item
         if not (0 <= u < v < n):
             raise FormatError(f"edge ({u},{v}) out of range or misordered")
         idx = edge_index(n, u, v)
@@ -206,8 +209,6 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
             raise FormatError(f"edge ({u},{v}) listed twice")
         seen[idx] = True
         colors[idx] = col
-    if not all(seen):
-        raise FormatError(f"edge list incomplete ({m - sum(seen)} edges missing)")
     try:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:

@@ -1,0 +1,184 @@
+"""Bitset kernels shared by the detectors, the search engine and the
+structure tools.  Private to the package; standard library only.
+
+A vertex set is an ``int`` with bit v set for vertex v.  Most kernels
+take ``adj``, one color class as adjacency rows (``adj[v]`` is the mask
+of v's neighbors in that color): `EdgeColoring.rows` and
+`PartialColoring.masks[color]` both have this shape.  Kernels trust
+their arguments.  The full scans return the first copy of a pattern
+inside a mask in a documented order, which decides the certificates
+the detectors promise; the through-edge checks tell the search whether
+the just-colored edge (u, v) completes a copy.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Optional, Sequence
+
+Rows = Sequence[int]
+Slots = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def bits(x: int) -> Iterator[int]:
+    """The set bits of a nonnegative x, ascending."""
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+def least(x: int) -> int:
+    """The lowest set bit of a nonzero x."""
+    return (x & -x).bit_length() - 1
+
+
+def above(v: int) -> int:
+    """Mask of all vertices strictly greater than v."""
+    return ~((1 << (v + 1)) - 1)
+
+
+# -- full scans: the first copy inside a mask --------------------------------
+
+
+def path3_within(adj: Rows, mask: int) -> Optional[tuple[int, int, int]]:
+    """First path (v1, v2, v3) with center v2, v1 < v3, inside ``mask``.
+
+    v1 ascends over the mask, then v2 over v1's neighbors; v3 is the
+    least that fits.  None when the mask spans no such path.
+    """
+    for v1 in bits(mask):
+        for v2 in bits(adj[v1] & mask):
+            cand = adj[v2] & mask & above(v1)
+            if cand:
+                return v1, v2, least(cand)
+    return None
+
+
+def cycle4_within(adj: Rows, mask: int) -> Optional[tuple[int, int, int, int]]:
+    """First 4-cycle (a, x, b, y) inside ``mask``, or None.
+
+    Opposite corners a < b ascend as pairs; x < y are the two least
+    common neighbors of a and b in the mask.
+    """
+    for a in bits(mask):
+        na = adj[a] & mask
+        for b in bits(mask & above(a)):
+            common = na & adj[b]
+            if common.bit_count() >= 2:
+                return a, least(common), b, least(common & (common - 1))
+    return None
+
+
+def clique_within(adj: Rows, cand: int, need: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically least ``need`` pairwise adjacent vertices
+    of ``cand``, ascending, or None.  ``need`` <= 0 gives ()."""
+    if need <= 0:
+        return ()
+    while cand:
+        b = cand & -cand
+        w = b.bit_length() - 1
+        cand ^= b
+        if need == 1:
+            return (w,)
+        # members above w only; lower ones were already tried as lead
+        rest = clique_within(adj, cand & adj[w], need - 1)
+        if rest is not None:
+            return (w, *rest)
+    return None
+
+
+def plan(order: int, edges: Iterable[tuple[int, int]], start: Sequence[int]) -> Slots:
+    """Slots for `embed`: vertices of a pattern on 0..order-1, breadth
+    first from ``start`` (neighbors ascending), each paired with its
+    neighbors placed before it.  Covers every vertex iff the pattern is
+    connected."""
+    nbrs: list[list[int]] = [[] for _ in range(order)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seq = list(start)
+    for p in seq:  # seq grows while it is scanned: a BFS queue
+        for q in sorted(nbrs[p]):
+            if q not in seq:
+                seq.append(q)
+    return tuple(
+        (p, tuple(q for q in nbrs[p] if q in seq[:i])) for i, p in enumerate(seq)
+    )
+
+
+def embed(
+    adj: Rows, slots: Slots, host: list[int], used: int, allowed: int, si: int = 0
+) -> bool:
+    """Extend ``host`` (pattern vertex -> host vertex) along ``slots[si:]``.
+
+    Slot (p, preds) puts p on a vertex of ``allowed`` outside ``used``
+    adjacent to the hosts of ``preds``, least first, backtracking depth
+    first.  On True ``host`` holds the first embedding in slot order.
+    """
+    if si == len(slots):
+        return True
+    p, preds = slots[si]
+    cand = allowed & ~used
+    for t in preds:
+        cand &= adj[host[t]]
+    for w in bits(cand):
+        host[p] = w
+        if embed(adj, slots, host, used | (1 << w), allowed, si + 1):
+            return True
+    return False
+
+
+def mono_between(c, xmask: int, ymask: int) -> Optional[int]:
+    """The one color joining every vertex of ``xmask`` to every vertex of
+    ``ymask`` (disjoint, nonempty) in the `EdgeColoring` c, or None."""
+    color = c.color_of(least(xmask), least(ymask))
+    adj = c.rows(color)
+    for a in bits(xmask):
+        if ymask & ~adj[a]:
+            return None
+    return color
+
+
+# -- through-edge checks: `adj` already includes the new edge (u, v) ---------
+
+
+def path3_through(adj: Rows, u: int, v: int) -> bool:
+    return bool(adj[u] & ~(1 << v) or adj[v] & ~(1 << u))
+
+
+def cycle4_through(adj: Rows, u: int, v: int) -> bool:
+    bu, bv = 1 << u, 1 << v
+    for a in bits(adj[v] & ~bu):
+        if adj[a] & adj[u] & ~bv:
+            return True
+    return False
+
+
+def wheel4_through(adj: Rows, u: int, v: int) -> bool:
+    bu, bv = 1 << u, 1 << v
+    mu, mv = adj[u], adj[v]
+    both = mu & mv
+    if not both:  # every copy through (u, v) has a vertex seeing both
+        return False
+    # u as hub: a 4-cycle through v inside N(u)
+    for a in bits(both):
+        opp = adj[a] & mu & ~bv
+        if opp:
+            for b in bits(both & ~((1 << (a + 1)) - 1)):
+                if opp & adj[b]:
+                    return True
+    # v as hub, symmetric
+    for a in bits(both):
+        opp = adj[a] & mv & ~bu
+        if opp:
+            for b in bits(both & ~((1 << (a + 1)) - 1)):
+                if opp & adj[b]:
+                    return True
+    # (u, v) as a rim edge: hub h sees both, rim closes u-v-w-x-u
+    for h in bits(both):
+        ring = adj[h]
+        bh = 1 << h
+        for w in bits(mv & ring & ~bu & ~bh):
+            if adj[w] & mu & ring & ~bv & ~bh:
+                return True
+    return False

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from .kernels import plan
+
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
 
@@ -34,20 +36,6 @@ def _normalize_edges(order: int, edges: Iterable[tuple[int, int]]):
         seen.add((u, v))
         out.append((u, v))
     return tuple(sorted(out))
-
-
-def _is_connected(order: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    parent = list(range(order))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(x) for x in range(order)}) == 1
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ class PatternSpec:
         if not 2 <= order <= _EXPLICIT_MAX:
             raise ValueError(f"explicit pattern order must be 2..{_EXPLICIT_MAX}")
         norm = _normalize_edges(order, edges)
-        if not _is_connected(order, norm):
+        if len(plan(order, norm, (0,))) < order:
             raise ValueError("explicit pattern must be connected")
         return cls("explicit", order, norm)
 

@@ -14,7 +14,11 @@ Design notes, fixed for reproducibility:
 * A "node" is one attempted color assignment, counted against both the
   per-restart budget and the task's ``node_limit``.
 * Conflicts are detected incrementally: only structures through the
-  newly colored edge are checked.
+  newly colored edge are checked.  The checks are the through-edge
+  kernels of :mod:`gallai.kernels` (`path3_through`, `cycle4_through`,
+  `wheel4_through`), `clique_within` on the common neighborhood of the
+  edge's ends for cliques, and `embed` along one `plan` per anchored
+  pattern edge for every other pattern.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -37,10 +41,19 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
+from .kernels import (
+    bits,
+    clique_within,
+    cycle4_through,
+    embed,
+    path3_through,
+    plan,
+    wheel4_through,
+)
 from .patterns import PatternSpec
 
 __all__ = [
@@ -61,13 +74,6 @@ _RESTART_BASE = 250_000
 _EXHAUSTED, _FOUND, _BUDGET, _LIMIT = 0, 1, 2, 3
 
 _SYMMETRIES = ("none", "colorSwap", "vertexOrder")
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
 
 
 @dataclass(frozen=True)
@@ -173,142 +179,45 @@ class UnavoidableOutcome:
     stats: SearchStats
 
 
-# -- conflict kernels ----------------------------------------------------
-# Each kernel answers: does the just-colored edge (u, v) complete a copy
+# -- conflict checks ------------------------------------------------------
+# Each check answers: does the just-colored edge (u, v) complete a copy
 # of the pattern inside one color class?  `adj` is that class's list of
 # neighbor bitmasks, already including the new edge.
-
-
-def _mask_has_clique(adj: list[int], cand: int, need: int) -> bool:
-    if need <= 0:
-        return True
-    if need == 1:
-        return cand != 0
-    while cand:
-        b = cand & -cand
-        w = b.bit_length() - 1
-        cand ^= b
-        # members above w only; lower ones were already tried as lead
-        if _mask_has_clique(adj, cand & adj[w], need - 1):
-            return True
-    return False
-
-
-def _completes_wheel4(adj: list[int], u: int, v: int) -> bool:
-    bu, bv = 1 << u, 1 << v
-    mu, mv = adj[u], adj[v]
-    both = mu & mv
-    # u as hub: a 4-cycle through v inside N(u)
-    if both:
-        for a in _bits(both):
-            opp = adj[a] & mu & ~bv
-            if opp:
-                for b in _bits(both & ~((1 << (a + 1)) - 1)):
-                    if opp & adj[b]:
-                        return True
-    # v as hub, symmetric
-    if both:
-        for a in _bits(both):
-            opp = adj[a] & mv & ~bu
-            if opp:
-                for b in _bits(both & ~((1 << (a + 1)) - 1)):
-                    if opp & adj[b]:
-                        return True
-    # (u, v) as a rim edge: hub h sees both, rim closes u-v-w-x-u
-    for h in _bits(both):
-        ring = adj[h]
-        bh = 1 << h
-        for w in _bits(mv & ring & ~bu & ~bh):
-            if adj[w] & mu & ring & ~bv & ~bh:
-                return True
-    return False
-
-
-def _bfs_plans(pattern: PatternSpec):
-    # anchored embedding plans: map a pattern edge onto the new host
-    # edge, then place remaining pattern vertices, each adjacent to
-    # something already placed
-    order_n = pattern.order
-    nbrs: list[list[int]] = [[] for _ in range(order_n)]
-    for a, b in pattern.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    plans = []
-    for p, q in pattern.edges:
-        for a0, a1 in ((p, q), (q, p)):
-            placed = [a0, a1]
-            slots = []
-            while len(placed) < order_n:
-                nxt = None
-                for cand in range(order_n):
-                    if cand not in placed and any(t in placed for t in nbrs[cand]):
-                        nxt = cand
-                        break
-                preds = tuple(t for t in nbrs[nxt] if t in placed)
-                slots.append((nxt, preds))
-                placed.append(nxt)
-            plans.append((a0, a1, tuple(slots)))
-    return plans
 
 
 def _make_check(pattern: PatternSpec):
     kind = pattern.kind
     if kind == "path3":
+        return path3_through
+    if kind == "cycle4":
+        return cycle4_through
+    if kind == "wheel" and pattern.order == 5:
+        return wheel4_through
+    if kind == "clique":
+        need = pattern.order - 2
 
         def chk(adj: list[int], u: int, v: int) -> bool:
-            return bool(adj[u] & ~(1 << v) or adj[v] & ~(1 << u))
+            return clique_within(adj, adj[u] & adj[v], need) is not None
 
-    elif kind == "cycle4":
+        return chk
 
-        def chk(adj: list[int], u: int, v: int) -> bool:
-            bu, bv = 1 << u, 1 << v
-            for a in _bits(adj[v] & ~bu):
-                if adj[a] & adj[u] & ~bv:
-                    return True
-            return False
+    # map a pattern edge onto the new host edge, both ways round, then
+    # place the remaining pattern vertices breadth first from it
+    order_n = pattern.order
+    plans = [
+        (a0, a1, plan(order_n, pattern.edges, (a0, a1))[2:])
+        for p, q in pattern.edges
+        for a0, a1 in ((p, q), (q, p))
+    ]
 
-    elif kind == "clique":
-        t = pattern.order
-
-        def chk(adj: list[int], u: int, v: int) -> bool:
-            if t == 2:
+    def chk(adj: list[int], u: int, v: int) -> bool:
+        host = [-1] * order_n
+        used = (1 << u) | (1 << v)
+        for a0, a1, slots in plans:
+            host[a0], host[a1] = u, v
+            if embed(adj, slots, host, used, ~used):
                 return True
-            return _mask_has_clique(adj, adj[u] & adj[v], t - 2)
-
-    elif kind == "wheel" and pattern.order == 5:
-        chk = _completes_wheel4
-
-    else:
-        plans = _bfs_plans(pattern)
-        order_n = pattern.order
-
-        def chk(adj: list[int], u: int, v: int) -> bool:
-            host = [-1] * order_n
-            bu, bv = 1 << u, 1 << v
-
-            def extend(si: int, used: int, slots) -> bool:
-                if si == len(slots):
-                    return True
-                pv, preds = slots[si]
-                cand = ~used
-                for t in preds:
-                    cand &= adj[host[t]]
-                ok = False
-                for w in _bits(cand):
-                    host[pv] = w
-                    if extend(si + 1, used | (1 << w), slots):
-                        ok = True
-                        break
-                if not ok:
-                    host[pv] = -1
-                return ok
-
-            for a0, a1, slots in plans:
-                host[a0], host[a1] = u, v
-                if extend(0, bu | bv, slots):
-                    return True
-                host[a0] = host[a1] = -1
-            return False
+        return False
 
     return chk
 
@@ -375,7 +284,7 @@ class PartialColoring:
         structure?  Only structures through this edge are examined."""
         if self.task.forbid_rainbow_triangle:
             both = self.assigned[u] & self.assigned[v]
-            for w in _bits(both):
+            for w in bits(both):
                 cu = self.color_at(u, w)
                 cv = self.color_at(v, w)
                 if cu != cv and cu != color and cv != color:

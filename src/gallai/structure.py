@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
 from .errors import PreconditionError
+from .kernels import bits, least, mono_between, path3_within
 from .patterns import PatternSpec
 
 __all__ = [
@@ -35,13 +36,6 @@ __all__ = [
 ]
 
 _WHEEL4 = PatternSpec.wheel(4)
-
-
-def _bits(x: int) -> Iterator[int]:
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
 
 
 @dataclass(frozen=True)
@@ -115,10 +109,9 @@ def _normalize_parts(c: EdgeColoring, parts_in: Sequence[Iterable[int]]):
             raise ValueError(f"part {idx} overlaps an earlier part")
         seen |= mask
         parts.append((tuple(part), mask))
+    # an empty partition fails here too: n >= 1, so the mask is nonzero
     if seen != c.vertex_mask:
         raise ValueError("parts do not cover every vertex")
-    if not parts:
-        raise ValueError("partition has no parts")
     return parts
 
 
@@ -127,18 +120,10 @@ def _colors_between(c: EdgeColoring, xs: tuple[int, ...], ymask: int) -> set[int
     for a in xs:
         rest = ymask
         while rest:
-            col = c.color_of(a, (rest & -rest).bit_length() - 1)
+            col = c.color_of(a, least(rest))
             found.add(col)
             rest &= ~c.neighbors(col, a)
     return found
-
-
-def _mono_between(c: EdgeColoring, xs: tuple[int, ...], ymask: int) -> Optional[int]:
-    cand = c.color_of(xs[0], (ymask & -ymask).bit_length() - 1)
-    for a in xs:
-        if ymask & ~c.neighbors(cand, a):
-            return None
-    return cand
 
 
 def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> PartitionCheck:
@@ -191,49 +176,45 @@ def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> Partit
     return PartitionCheck(not violations, tuple(violations))
 
 
-def _build_partition(c: EdgeColoring, clusters: list[int]) -> GallaiPartition:
-    parts = sorted(
-        (tuple(_bits(m)) for m in clusters),
-        key=lambda part: (-len(part), part[0]),
-    )
-    masks = [sum(1 << v for v in part) for part in parts]
-    p = len(parts)
+def _quotient(c: EdgeColoring, masks: list[int]) -> EdgeColoring:
+    # one vertex per part; every two parts must be joined in one color
+    p = len(masks)
     colors = [0] * (p * (p - 1) // 2)
-    cross: set[int] = set()
     for i in range(p):
         for j in range(i + 1, p):
-            col = _mono_between(c, parts[i], masks[j])
+            col = mono_between(c, masks[i], masks[j])
             if col is None:
-                raise AssertionError("cluster pair is not monochromatic")
+                raise AssertionError(f"parts {i} and {j} are not joined in one color")
             colors[edge_index(p, i, j)] = col
-            cross.add(col)
-    reduced = EdgeColoring(p, c.k, colors)
-    return GallaiPartition(tuple(parts), frozenset(cross), reduced)
+    return EdgeColoring(p, c.k, colors)
+
+
+def _build_partition(c: EdgeColoring, clusters: list[int]) -> GallaiPartition:
+    parts = sorted(
+        (tuple(bits(m)) for m in clusters),
+        key=lambda part: (-len(part), part[0]),
+    )
+    reduced = _quotient(c, [sum(1 << v for v in part) for part in parts])
+    return GallaiPartition(tuple(parts), reduced.colors_used(), reduced)
 
 
 def _components_avoiding(c: EdgeColoring, a: int, b: int) -> list[int]:
-    # connected components of the graph formed by edges NOT colored a or b
-    n = c.n
-    comp = [-1] * n
+    # connected components of the graph formed by edges NOT colored a or
+    # b, by least vertex; each grows one frontier mask at a time
+    other = [c.rows(col) for col in sorted(c.colors_used() - {a, b})]
+    left = c.vertex_mask
     masks: list[int] = []
-    avoid = {a, b}
-    other = sorted(c.colors_used() - avoid)
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        cid = len(masks)
-        stack = [s]
-        comp[s] = cid
-        mask = 1 << s
-        while stack:
-            v = stack.pop()
-            for col in other:
-                for w in _bits(c.neighbors(col, v)):
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        mask |= 1 << w
-                        stack.append(w)
-        masks.append(mask)
+    while left:
+        comp = frontier = 1 << least(left)
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                for adj in other:
+                    reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        masks.append(comp)
+        left &= ~comp
     return masks
 
 
@@ -242,55 +223,13 @@ def _coarsen(c: EdgeColoring, clusters: list[int]) -> list[int]:
     # clusters only the two avoided colors can occur, so merging is
     # forced and the result stays a refinement of any true partition
     work = list(clusters)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(work)):
-            xs = tuple(_bits(work[i]))
-            for j in range(i + 1, len(work)):
-                if _mono_between(c, xs, work[j]) is None:
-                    work[i] |= work[j]
-                    del work[j]
-                    merged = True
-                    break
-            if merged:
+    while True:
+        for i, j in combinations(range(len(work)), 2):
+            if mono_between(c, work[i], work[j]) is None:
+                work[i] |= work.pop(j)
                 break
-    return work
-
-
-def _exhaustive_partition(c: EdgeColoring) -> Optional[GallaiPartition]:
-    # last-resort scan over all set partitions in restricted-growth
-    # order; only viable for tiny n
-    n = c.n
-    assignment = [0] * n
-
-    def grow(v: int, groups: int):
-        if v == n:
-            if groups < 2:
-                return None
-            clusters = [0] * groups
-            for x in range(n):
-                clusters[assignment[x]] |= 1 << x
-            allc: set[int] = set()
-            for i in range(groups):
-                xs = tuple(_bits(clusters[i]))
-                for j in range(i + 1, groups):
-                    between = _colors_between(c, xs, clusters[j])
-                    if len(between) > 1:
-                        return None
-                    allc |= between
-            if len(allc) > 2:
-                return None
-            return clusters
-        for g in range(groups + 1):
-            assignment[v] = g
-            got = grow(v + 1, max(groups, g + 1))
-            if got is not None:
-                return got
-        return None
-
-    clusters = grow(1, 1)
-    return None if clusters is None else _build_partition(c, clusters)
+        else:
+            return work
 
 
 def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
@@ -303,6 +242,18 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     classes, coarsened until all pairs are monochromatic; color pairs
     are tried in ascending order and the first that yields two or more
     parts wins, which makes the output deterministic.
+
+    Some pair always does, so the loop below always returns.  By
+    Gallai's theorem (Gallai 1967; Gyárfás–Simonyi 2004) the coloring
+    has a Gallai partition P with at least two parts whose cross colors
+    lie in some pair {a, b} of used colors (with three or more colors
+    used, a single cross color can be paired with any other).  An edge
+    of another color never joins two parts of P, so the components
+    left after deleting a and b each lie inside one part: they refine
+    P, and there are at least two of them.  `_coarsen` only merges two
+    clusters that are not joined in one color, while clusters inside
+    different parts of P always are, so every merge stays inside a part
+    of P and at least two clusters remain.
     """
     if c.n < 2:
         raise ValueError("partition needs at least two vertices")
@@ -315,17 +266,9 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     if len(used) <= 2:
         return _build_partition(c, [1 << v for v in range(c.n)])
     for a, b in combinations(used, 2):
-        comps = _components_avoiding(c, a, b)
-        if len(comps) < 2:
-            continue
-        clusters = _coarsen(c, comps)
+        clusters = _coarsen(c, _components_avoiding(c, a, b))
         if len(clusters) >= 2:
             return _build_partition(c, clusters)
-    if c.n <= 10:
-        got = _exhaustive_partition(c)
-        if got is not None:
-            return got
-    raise AssertionError("no Gallai partition found for a Gallai coloring")
 
 
 def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
@@ -341,15 +284,7 @@ def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
     check = verify_gallai_partition(c, raw)
     if not check.ok:
         raise ValueError("not a Gallai partition: " + "; ".join(check.violations))
-    parts = _normalize_parts(c, raw)
-    p = len(parts)
-    colors = [0] * (p * (p - 1) // 2)
-    for i in range(p):
-        for j in range(i + 1, p):
-            col = _mono_between(c, parts[i][0], parts[j][1])
-            assert col is not None
-            colors[edge_index(p, i, j)] = col
-    return EdgeColoring(p, c.k, colors)
+    return _quotient(c, [mask for _, mask in _normalize_parts(c, raw)])
 
 
 def peel_apex_sequence(c: EdgeColoring) -> ApexSequence:
@@ -362,25 +297,15 @@ def peel_apex_sequence(c: EdgeColoring) -> ApexSequence:
     remaining = c.vertex_mask
     entries: list[tuple[int, int]] = []
     while remaining.bit_count() >= 2:
-        picked = None
-        for x in _bits(remaining):
-            rest = remaining & ~(1 << x)
-            col = c.color_of(x, (rest & -rest).bit_length() - 1)
-            if rest & ~c.neighbors(col, x) == 0:
-                picked = (x, col)
+        for x in bits(remaining):
+            col = mono_between(c, 1 << x, remaining & ~(1 << x))
+            if col is not None:
+                entries.append((x, col))
+                remaining &= ~(1 << x)
                 break
-        if picked is None:
+        else:
             break
-        entries.append(picked)
-        remaining &= ~(1 << picked[0])
-    return ApexSequence(tuple(entries), tuple(_bits(remaining)))
-
-
-def _has_p3_within(c: EdgeColoring, color: int, mask: int) -> bool:
-    for v in _bits(mask):
-        if (c.neighbors(color, v) & mask).bit_count() >= 2:
-            return True
-    return False
+    return ApexSequence(tuple(entries), tuple(bits(remaining)))
 
 
 def check_apex_color_distinctness(c: EdgeColoring, seq: ApexSequence) -> bool:
@@ -397,29 +322,25 @@ def check_apex_color_distinctness(c: EdgeColoring, seq: ApexSequence) -> bool:
     """
     remaining = c.vertex_mask
     suffix_after: list[int] = []
-    seen = 0
     for x, col in seq.entries:
-        if not 0 <= x < c.n or seen & (1 << x):
+        if not 0 <= x < c.n or not remaining & (1 << x):
             raise ValueError(f"apex sequence repeats or misplaces vertex {x}")
-        rest = remaining & ~(1 << x)
-        if rest & ~c.neighbors(col, x):
+        remaining &= ~(1 << x)
+        if remaining & ~c.neighbors(col, x):
             raise ValueError(
                 f"vertex {x} is not joined to the remainder in color {col}"
             )
-        seen |= 1 << x
-        remaining = rest
-        suffix_after.append(rest)
-    if tuple(_bits(remaining)) != seq.remainder:
+        suffix_after.append(remaining)
+    if tuple(bits(remaining)) != seq.remainder:
         raise ValueError("remainder does not match the peeled entries")
-    entries = seq.entries
-    for bi in range(len(entries)):
-        for ai in range(bi):
-            if entries[ai][1] != entries[bi][1]:
-                continue
-            color = entries[bi][1]
-            if _has_p3_within(c, color, suffix_after[bi]):
-                if find_mono(c, _WHEEL4, color) is None:
-                    return False
+    earlier: set[int] = set()
+    for (_, color), rest in zip(seq.entries, suffix_after):
+        # a color seen before: the earlier apex, this one and a path in
+        # the rest make a wheel
+        if color in earlier and path3_within(c.rows(color), rest) is not None:
+            if find_mono(c, _WHEEL4, color) is None:
+                return False
+        earlier.add(color)
     return True
 
 
@@ -445,7 +366,7 @@ def cross_color_profile(
     blue_side: list[int] = []
     red_side: list[int] = []
     other: list[int] = []
-    for v in _bits(c.vertex_mask & ~gmask):
+    for v in bits(c.vertex_mask & ~gmask):
         if gmask & ~c.neighbors(blue, v) == 0:
             blue_side.append(v)
         elif gmask & ~c.neighbors(red, v) == 0:

@@ -130,6 +130,12 @@ def test_malformed_and_missing_files(tmp_path, capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "digest", "--in", str(tmp_path / "absent.grc"))
     assert code == 2 and "error:" in err
+    # a huge header with no edges is refused before anything is allocated
+    huge = tmp_path / "huge.json"
+    payload = {"format": "gallai-coloring", "version": 1, "n": 2**40, "k": 2, "edges": []}
+    huge.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", "--in", str(huge), "--pattern", "k3")
+    assert code == 2 and "error:" in err and "Traceback" not in err
 
 
 def test_partition_of_join(tmp_path, capsys):

@@ -48,6 +48,10 @@ def test_constructor_validates():
         EdgeColoring(3, 2, [1, 0, 1])  # color below 1
     with pytest.raises(ValueError):
         EdgeColoring(3, 2, [1, 3, 1])  # color above k
+    # a color must be an int: a type check, not a failed compare
+    for bad in (1.9, 1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            EdgeColoring(3, 2, [1, bad, 1])
 
 
 def test_color_of_lookup_and_errors():

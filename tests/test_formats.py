@@ -11,11 +11,18 @@ from gallai import (
     canonical_digest,
     parse_json,
     parse_text,
+    pentagon_coloring,
     read_document,
     render_json,
     render_text,
     write_document,
 )
+
+PENTAGON_EDGES = render_json(ColoringDocument(pentagon_coloring()))["edges"]
+
+
+def first_edge_as(entry):
+    return [entry] + PENTAGON_EDGES[1:]
 
 
 def round_trip_text(doc):
@@ -124,6 +131,28 @@ def sealed_payload(pentagon, **overrides):
         {"edges": "nope"},
         {"digest": "00" * 32},
         {"provenance": "a string"},
+        # the header is checked against the edge count before allocating
+        {"n": 2**40},
+        {"n": 10**6},
+        # exact integers only: no floats, bools or numeric strings
+        {"n": 5.0},
+        {"n": 5.7},
+        {"n": True},
+        {"n": "5"},
+        {"k": 2.0},
+        {"k": True},
+        {"k": "2"},
+        {"n": None},
+        {"edges": first_edge_as([0, 1, 1.9])},
+        {"edges": first_edge_as([0, 1, 1.0])},
+        {"edges": first_edge_as([0, 1, True])},
+        {"edges": first_edge_as([0, 1, "1"])},
+        {"edges": first_edge_as([0.0, 1, 1])},
+        {"edges": first_edge_as([0, "1", 1])},
+        {"edges": first_edge_as([0, 1])},
+        {"edges": first_edge_as([0, 1, 1, 1])},
+        {"edges": first_edge_as("011")},
+        {"edges": first_edge_as(None)},
     ],
 )
 def test_malformed_json_rejected(pentagon, overrides):

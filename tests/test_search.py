@@ -19,6 +19,8 @@ W4 = PatternSpec.wheel(4)
 P3 = PatternSpec.path3()
 C4 = PatternSpec.cycle4()
 K3 = PatternSpec.clique(3)
+# a triangle 0-1-2 with the path 2-3-4 hanging off it
+TRIANGLE_WITH_TAIL = PatternSpec.explicit(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
 
 
 def test_task_validation():
@@ -201,6 +203,9 @@ def test_incremental_conflict_vs_rescan_oracle():
         ((K3, None),),
         ((C4, None), (P3, None)),
         ((PatternSpec.clique(4), None),),
+        # wheel:3 and explicit patterns take the generic through-edge path
+        ((PatternSpec.wheel(3), None),),
+        ((TRIANGLE_WITH_TAIL, None),),
     ]
     checked = 0
     for trial in range(120):
