@@ -57,12 +57,9 @@ def parse_pattern(token: str) -> PatternSpec:
         return PatternSpec.wheel(int(t[6:]))
     if t.startswith("explicit:"):
         raw = json.loads(Path(t[len("explicit:") :]).read_text(encoding="ascii"))
-        try:
-            order = int(raw["order"])
-            edges = [(int(u), int(v)) for u, v in raw["edges"]]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad explicit pattern file: {exc}") from exc
-        return PatternSpec.explicit(order, edges)
+        if not isinstance(raw, dict):
+            raise ValueError("explicit pattern file must hold a JSON object")
+        return PatternSpec.from_json({**raw, "kind": "explicit"})
     raise ValueError(f"unknown pattern {token!r}")
 
 

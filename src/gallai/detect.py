@@ -5,7 +5,8 @@ Everything here runs on the per-color adjacency rows kept by
 explicit subset enumeration.  Scan orders are fixed and documented, so
 each detector is deterministic: same input, same certificate.
 
-The mask kernels live in :mod:`gallai.kernels`: `path3_within` for
+The mask kernels live in :mod:`gallai.kernels`: `rainbow_thirds` for
+rainbow triangles (shared with the search), `path3_within` for
 paths (also behind `has_mono_p3_in_color` and `wheel_from_mono_pair`),
 `cycle4_within` for 4-cycles and, once per hub, for 4-wheels,
 `clique_within` for cliques, `embed` along a `plan` for the rims of
@@ -33,6 +34,7 @@ from .kernels import (
     mono_between,
     path3_within,
     plan,
+    rainbow_thirds,
 )
 from .patterns import Embedding, PatternSpec
 
@@ -56,18 +58,13 @@ def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
     Gallai colorings.
     """
     n = c.n
-    used = c.colors_used()
-    if len(used) < 3:
+    classes = {col: c.rows(col) for col in c.colors_used()}
+    if len(classes) < 3:
         return None
     for u in range(n):
         for v in range(u + 1, n):
-            a = c.color_of(u, v)
-            # w must avoid color a at both u and v, and must not see
-            # u and v in one shared color
-            bad = c.neighbors(a, u) | c.neighbors(a, v)
-            for col in used:
-                bad |= c.neighbors(col, u) & c.neighbors(col, v)
-            cand = above(v) & ~bad & (c.vertex_mask)
+            adj = classes[c.color_of(u, v)]
+            cand = rainbow_thirds(classes.values(), adj, u, v, above(v) & c.vertex_mask)
             if cand:
                 return Embedding(_TRIANGLE, None, (u, v, least(cand)))
     return None

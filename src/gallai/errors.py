@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
 
 
 class PreconditionError(ValueError):
@@ -9,3 +9,10 @@ class PreconditionError(ValueError):
     triangle, or when a vertex pair is not monochromatically complete
     to the rest of the graph.
     """
+
+
+def exact_int(value: object, name: str) -> int:
+    """``value`` if it is an int proper (no bool, float or str), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value

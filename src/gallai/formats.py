@@ -151,19 +151,14 @@ def parse_text(text: str) -> ColoringDocument:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    if digest is not None and digest != canonical_digest(coloring):
-        raise FormatError("digest comment does not match payload")
     return ColoringDocument(coloring, digest, provenance)
 
 
 def render_json(doc: ColoringDocument) -> dict[str, Any]:
-    c = doc.coloring
     return {
         "format": "gallai-coloring",
         "version": doc.version,
-        "n": c.n,
-        "k": c.k,
-        "edges": [[u, v, col] for u, v, col in c.edges()],
+        **_write_payload(doc.coloring),
         "digest": doc.digest,
         "provenance": doc.provenance,
     }
@@ -179,8 +174,22 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
         raise FormatError("top-level JSON value must be an object")
     if data.get("format") != "gallai-coloring":
         raise FormatError("missing or wrong 'format' tag")
-    if data.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {data.get('version')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported version {version!r}")
+    coloring = _read_payload(data)
+    provenance = data.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise FormatError("provenance must be an object")
+    return ColoringDocument(coloring, data.get("digest"), provenance)
+
+
+def _write_payload(c: EdgeColoring) -> dict[str, Any]:
+    # the {"n", "k", "edges"} payload, also nested in traces and partitions
+    return {"n": c.n, "k": c.k, "edges": [[u, v, col] for u, v, col in c.edges()]}
+
+
+def _read_payload(data: dict[str, Any]) -> EdgeColoring:
     try:
         n, k, edges = data["n"], data["k"], data["edges"]
     except KeyError as exc:
@@ -210,16 +219,9 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
         seen[idx] = True
         colors[idx] = col
     try:
-        coloring = EdgeColoring(n, k, colors)
+        return EdgeColoring(n, k, colors)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    digest = data.get("digest")
-    if digest is not None and digest != canonical_digest(coloring):
-        raise FormatError("digest field does not match payload")
-    provenance = data.get("provenance")
-    if provenance is not None and not isinstance(provenance, dict):
-        raise FormatError("provenance must be an object")
-    return ColoringDocument(coloring, digest, provenance)
 
 
 def _pick_format(path: Union[str, Path], fmt: Optional[str]) -> str:

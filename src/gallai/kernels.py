@@ -8,7 +8,7 @@ of v's neighbors in that color): `EdgeColoring.rows` and
 their arguments.  The full scans return the first copy of a pattern
 inside a mask in a documented order, which decides the certificates
 the detectors promise; the through-edge checks tell the search whether
-the just-colored edge (u, v) completes a copy.
+the edge (u, v) completes a copy.
 """
 
 from __future__ import annotations
@@ -139,7 +139,17 @@ def mono_between(c, xmask: int, ymask: int) -> Optional[int]:
     return color
 
 
-# -- through-edge checks: `adj` already includes the new edge (u, v) ---------
+def rainbow_thirds(classes: Iterable[Rows], adj: Rows, u: int, v: int, cand: int) -> int:
+    """The w of ``cand`` (which excludes u and v) that make (u, v, w) rainbow when
+    (u, v) has the color whose rows are ``adj``; ``classes`` has every color's rows."""
+    bad = adj[u] | adj[v]
+    for rows in classes:
+        bad |= rows[u] & rows[v]
+    return cand & ~bad
+
+
+# -- through-edge checks on (u, v) in its color's rows `adj` ----------------
+# None reads the bit of (u, v) itself, so the edge may still be open.
 
 
 def path3_through(adj: Rows, u: int, v: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from .errors import exact_int
 from .kernels import plan
 
 if TYPE_CHECKING:
@@ -25,6 +26,7 @@ def _normalize_edges(order: int, edges: Iterable[tuple[int, int]]):
     seen = set()
     out = []
     for u, v in edges:
+        u, v = exact_int(u, "pattern edge end"), exact_int(v, "pattern edge end")
         if u == v:
             raise ValueError(f"pattern edge ({u},{v}) is a loop")
         if u > v:
@@ -55,7 +57,7 @@ class PatternSpec:
     @classmethod
     def wheel(cls, m: int) -> "PatternSpec":
         """Wheel with an m-vertex rim cycle plus a hub joined to all of it."""
-        if m < 3:
+        if exact_int(m, "wheel rim size") < 3:
             raise ValueError(f"wheel rim needs at least 3 vertices, got {m}")
         rim = [(i, (i + 1) % m) for i in range(m)]
         spokes = [(i, m) for i in range(m)]
@@ -71,7 +73,7 @@ class PatternSpec:
 
     @classmethod
     def clique(cls, t: int) -> "PatternSpec":
-        if t < 2:
+        if exact_int(t, "clique order") < 2:
             raise ValueError(f"clique needs at least 2 vertices, got {t}")
         edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
         return cls("clique", t, tuple(edges))
@@ -79,7 +81,7 @@ class PatternSpec:
     @classmethod
     def explicit(cls, order: int, edges: Iterable[tuple[int, int]]) -> "PatternSpec":
         """Arbitrary connected pattern on at most 8 vertices."""
-        if not 2 <= order <= _EXPLICIT_MAX:
+        if not 2 <= exact_int(order, "pattern order") <= _EXPLICIT_MAX:
             raise ValueError(f"explicit pattern order must be 2..{_EXPLICIT_MAX}")
         norm = _normalize_edges(order, edges)
         if len(plan(order, norm, (0,))) < order:
@@ -113,19 +115,20 @@ class PatternSpec:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "PatternSpec":
-        kind = data.get("kind")
-        if kind == "wheel":
-            return cls.wheel(int(data["m"]))
-        if kind == "clique":
-            return cls.clique(int(data["t"]))
-        if kind == "path3":
-            return cls.path3()
-        if kind == "cycle4":
-            return cls.cycle4()
-        if kind == "explicit":
-            return cls.explicit(
-                int(data["order"]), [(int(u), int(v)) for u, v in data["edges"]]
-            )
+        try:
+            kind = data.get("kind")
+            if kind == "wheel":
+                return cls.wheel(data["m"])
+            if kind == "clique":
+                return cls.clique(data["t"])
+            if kind == "path3":
+                return cls.path3()
+            if kind == "cycle4":
+                return cls.cycle4()
+            if kind == "explicit":
+                return cls.explicit(data["order"], data["edges"])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed pattern JSON: {exc!r}") from exc
         raise ValueError(f"unknown pattern kind {kind!r}")
 
 

@@ -12,13 +12,19 @@ Design notes, fixed for reproducibility:
   one new vertex at a time, so early decisions close triangles early
   and conflicts surface near the root.
 * A "node" is one attempted color assignment, counted against both the
-  per-restart budget and the task's ``node_limit``.
+  per-restart budget and the task's ``node_limit``; the budget is tested
+  only when an untried color is left, so a tree of exactly
+  ``node_limit`` nodes still ends ``exhausted``.
 * Conflicts are detected incrementally: only structures through the
-  newly colored edge are checked.  The checks are the through-edge
-  kernels of :mod:`gallai.kernels` (`path3_through`, `cycle4_through`,
-  `wheel4_through`), `clique_within` on the common neighborhood of the
-  edge's ends for cliques, and `embed` along one `plan` per anchored
-  pattern edge for every other pattern.
+  newly colored edge are checked, by the kernels of :mod:`gallai.kernels`:
+  `rainbow_thirds` (as in `find_rainbow_triangle`), the through-edge
+  kernels (`path3_through`, `cycle4_through`, `wheel4_through`),
+  `clique_within` on the common neighborhood of the edge's ends for
+  cliques, and `embed` along one `plan` per anchored pattern edge for
+  every other pattern.  None of them reads the edge's own bit, so the
+  forward check probes every later edge of the column while it is open.
+* The walk is one loop over an explicit stack (colors tried and the
+  ``colorSwap`` bound per position); it never recurses.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -26,8 +32,9 @@ Design notes, fixed for reproducibility:
   transpositions, checked each time a column completes.
 * Restarts follow a doubling node budget; restart 0 tries colors in
   ascending order, later restarts permute the per-depth color order
-  with a stream seeded by (seed, restart).  A restart that exhausts
-  the tree proves unsatisfiability regardless of its order.
+  with a stream seeded by (seed, restart).  Each restart starts from a
+  fresh `PartialColoring`.  A restart that exhausts the tree proves
+  unsatisfiability regardless of its order.
 
 Outcomes are deterministic functions of the task (the seed is part of
 it).  Witnesses are re-validated with the detectors from
@@ -38,20 +45,21 @@ trusted for the final answer.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
+from itertools import count
 from typing import Any, Optional
 
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
+from .errors import exact_int
 from .kernels import (
-    bits,
     clique_within,
     cycle4_through,
     embed,
     path3_through,
     plan,
+    rainbow_thirds,
     wheel4_through,
 )
 from .patterns import PatternSpec
@@ -71,8 +79,6 @@ __all__ = [
 DEFAULT_NODE_LIMIT = 20_000_000
 _RESTART_BASE = 250_000
 
-_EXHAUSTED, _FOUND, _BUDGET, _LIMIT = 0, 1, 2, 3
-
 _SYMMETRIES = ("none", "colorSwap", "vertexOrder")
 
 
@@ -83,6 +89,7 @@ class SearchTask:
     ``forbidden`` lists (pattern, color) pairs; color None means the
     pattern is forbidden in every color.  ``seed`` only influences the
     color try-order of restarts, never the meaning of the outcome.
+    Fields are type-checked, never coerced.
     """
 
     n: int
@@ -94,6 +101,10 @@ class SearchTask:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "node_limit", "seed"):
+            exact_int(getattr(self, name), name)
+        if type(self.forbid_rainbow_triangle) is not bool:
+            raise ValueError("forbid_rainbow_triangle must be a bool")
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n={self.n}")
         if self.k < 1:
@@ -107,8 +118,7 @@ class SearchTask:
             if not isinstance(pattern, PatternSpec):
                 raise ValueError(f"not a pattern: {pattern!r}")
             if scope is not None:
-                scope = int(scope)
-                if not 1 <= scope <= self.k:
+                if not 1 <= exact_int(scope, "pattern color") <= self.k:
                     raise ValueError(f"pattern color {scope} outside 1..{self.k}")
                 if self.symmetry != "none":
                     raise ValueError(
@@ -140,15 +150,15 @@ class SearchTask:
                 for item in data.get("forbidden", ())
             )
             return cls(
-                n=int(data["n"]),
-                k=int(data["k"]),
+                n=data["n"],
+                k=data["k"],
                 forbidden=forbidden,
-                forbid_rainbow_triangle=bool(data.get("forbid_rainbow_triangle", False)),
-                symmetry=str(data.get("symmetry", "colorSwap")),
-                node_limit=int(data.get("node_limit", DEFAULT_NODE_LIMIT)),
-                seed=int(data.get("seed", 0)),
+                forbid_rainbow_triangle=data.get("forbid_rainbow_triangle", False),
+                symmetry=data.get("symmetry", "colorSwap"),
+                node_limit=data.get("node_limit", DEFAULT_NODE_LIMIT),
+                seed=data.get("seed", 0),
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed task JSON: {exc}") from exc
 
 
@@ -180,9 +190,9 @@ class UnavoidableOutcome:
 
 
 # -- conflict checks ------------------------------------------------------
-# Each check answers: does the just-colored edge (u, v) complete a copy
-# of the pattern inside one color class?  `adj` is that class's list of
-# neighbor bitmasks, already including the new edge.
+# Each check answers: does the edge (u, v) complete a copy of the pattern
+# inside one color class?  `adj` is that class's list of neighbor
+# bitmasks; whether it holds (u, v) yet makes no difference.
 
 
 def _make_check(pattern: PatternSpec):
@@ -281,15 +291,12 @@ class PartialColoring:
 
     def conflict(self, u: int, v: int, color: int) -> bool:
         """Does the edge (u, v), colored ``color``, complete a forbidden
-        structure?  Only structures through this edge are examined."""
-        if self.task.forbid_rainbow_triangle:
-            both = self.assigned[u] & self.assigned[v]
-            for w in bits(both):
-                cu = self.color_at(u, w)
-                cv = self.color_at(v, w)
-                if cu != cv and cu != color and cv != color:
-                    return True
+        structure?  Only structures through it count; it may be open."""
         adj = self.masks[color]
+        if self.task.forbid_rainbow_triangle and rainbow_thirds(
+            self.masks, adj, u, v, self.assigned[u] & self.assigned[v]
+        ):
+            return True
         for scope, chk in self._checks:
             if (scope is None or scope == color) and chk(adj, u, v):
                 return True
@@ -315,8 +322,7 @@ def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
     for j in range(vv):
         relabel = [0] * (pc.k + 1)
         next_id = 1
-        verdict = 0  # 0 equal so far, stop on first difference
-        for pos in range(prefix_len):
+        for pos in range(prefix_len):  # stop on the first difference
             a, b = order[pos]
             a2 = vv if a == j else (j if a == vv else a)
             b2 = vv if b == j else (j if b == vv else b)
@@ -329,10 +335,9 @@ def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
                 next_id += 1
             cur = colors[edge_index(n, a, b)]
             if rc != cur:
-                verdict = -1 if rc < cur else 1
+                if rc < cur:
+                    return False
                 break
-        if verdict < 0:
-            return False
     return True
 
 
@@ -347,83 +352,67 @@ def search_witness(task: SearchTask) -> SearchOutcome:
     n, k = task.n, task.k
     m = n * (n - 1) // 2
     order = [(u, v) for v in range(1, n) for u in range(v)]
-    pc = PartialColoring(task)
     colorswap = task.symmetry in ("colorSwap", "vertexOrder")
     vertexorder = task.symmetry == "vertexOrder"
     limit = task.node_limit
-    depth_needed = m + 16
-    if sys.getrecursionlimit() < depth_needed:
-        sys.setrecursionlimit(depth_needed + 64)
 
     nodes = 0
     prunes = 0
-    stop_at = 0  # set per restart
-
     base_order = list(range(1, k + 1))
     color_orders: list[list[int]] = [base_order] * m
 
-    def has_option(j: int, vv: int) -> bool:
-        for c2 in base_order:
-            pc.assign(j, vv, c2)
-            bad = pc.conflict(j, vv, c2)
-            pc.unassign(j, vv)
-            if not bad:
-                return True
-        return False
-
-    def dfs(pos: int, max_used: int) -> int:
-        nonlocal nodes, prunes
-        if pos == m:
-            return _FOUND
-        u, v = order[pos]
-        top = min(k, max_used + 1) if colorswap else k
-        for c in color_orders[pos]:
-            if c > top:
+    for restart in count():
+        if restart:
+            rng = random.Random(f"{task.seed}:{restart}")
+            color_orders = [rng.sample(base_order, k) for _ in range(m)]
+        stop_at = min(limit, nodes + (_RESTART_BASE << restart))
+        pc = PartialColoring(task)
+        tried = [0] * m  # colors of color_orders[pos] tried at pos
+        max_used = [0] * (m + 1)  # largest color on the edges before pos
+        pos = 0
+        while 0 <= pos < m:
+            u, v = order[pos]
+            if tried[pos]:  # the edge still holds the last color tried here
+                pc.unassign(u, v)
+            colors = color_orders[pos]
+            top = min(k, max_used[pos] + 1) if colorswap else k
+            i = tried[pos]
+            while i < k and colors[i] > top:
+                i += 1
+            if i == k:  # every color tried: back to the previous edge
+                tried[pos] = 0
+                pos -= 1
                 continue
             if nodes >= stop_at:
-                return _LIMIT if nodes >= limit else _BUDGET
+                break
+            c = colors[i]
+            tried[pos] = i + 1
             nodes += 1
             pc.assign(u, v, c)
             ok = not pc.conflict(u, v, c)
             if ok:
                 # forward check: every later edge into v must keep an option
                 for j in range(u + 1, v):
-                    if not has_option(j, v):
+                    if all(pc.conflict(j, v, c2) for c2 in base_order):
                         ok = False
                         break
             if ok and vertexorder and u == v - 1:
                 ok = _canonical_ok(pc, order, v)
             if not ok:
                 prunes += 1
-                pc.unassign(u, v)
                 continue
-            got = dfs(pos + 1, c if c > max_used else max_used)
-            if got != _EXHAUSTED:
-                if got != _FOUND:
-                    pc.unassign(u, v)
-                return got
-            pc.unassign(u, v)
-        return _EXHAUSTED
-
-    restart = 0
-    result = _BUDGET
-    while result == _BUDGET:
-        if restart == 0:
-            color_orders = [base_order] * m
-        else:
-            rng = random.Random(f"{task.seed}:{restart}")
-            color_orders = [rng.sample(base_order, k) for _ in range(m)]
-        stop_at = min(limit, nodes + (_RESTART_BASE << restart))
-        result = dfs(0, 0)
-        restart += 1
+            max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
+            pos += 1
+        if pos == m or pos < 0 or nodes >= limit:
+            break
 
     elapsed = time.perf_counter() - t_start
-    stats = SearchStats(nodes, prunes, restart - 1, elapsed)
-    if result == _FOUND:
+    stats = SearchStats(nodes, prunes, restart, elapsed)
+    if pos == m:
         witness = EdgeColoring(n, k, pc.colors)
         _revalidate(task, witness)
         return SearchOutcome("witness", witness, stats)
-    if result == _EXHAUSTED:
+    if pos < 0:
         return SearchOutcome("exhausted", None, stats)
     return SearchOutcome("limit_reached", None, stats)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
 from .errors import PreconditionError
+from .formats import _write_payload
 from .kernels import bits, least, mono_between, path3_within
 from .patterns import PatternSpec
 
@@ -56,11 +57,7 @@ class GallaiPartition:
             "p": self.p,
             "parts": [list(part) for part in self.parts],
             "cross_colors": sorted(self.cross_colors),
-            "reduced": {
-                "n": self.reduced.n,
-                "k": self.reduced.k,
-                "edges": [[u, v, c] for u, v, c in self.reduced.edges()],
-            },
+            "reduced": _write_payload(self.reduced),
         }
 
 

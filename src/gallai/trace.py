@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from .coloring import EdgeColoring
+from .errors import exact_int
+from .formats import _read_payload, _write_payload
 
 __all__ = [
     "BaseTrace",
@@ -123,14 +125,9 @@ def trace_to_json(trace: ConstructionTrace) -> dict[str, Any]:
             "colors": list(trace.colors),
         }
     if isinstance(trace, BlowupTrace):
-        q = trace.quotient
         return {
             "op": "blowup",
-            "quotient": {
-                "n": q.n,
-                "k": q.k,
-                "edges": [[u, v, c] for u, v, c in q.edges()],
-            },
+            "quotient": _write_payload(trace.quotient),
             "children": [trace_to_json(child) for child in trace.children],
             "size": trace.size,
             "colors": list(trace.colors),
@@ -141,39 +138,30 @@ def trace_to_json(trace: ConstructionTrace) -> dict[str, Any]:
 def trace_from_json(data: dict[str, Any]) -> ConstructionTrace:
     try:
         op = data["op"]
+        if op not in ("base", "join", "blowup"):
+            raise ValueError(f"unknown trace op {op!r}")
+        size = exact_int(data["size"], "size")
+        colors = tuple(exact_int(c, "color") for c in data["colors"])
         if op == "base":
             return BaseTrace(
                 label=str(data["label"]),
                 digest=str(data["digest"]),
-                size=int(data["size"]),
-                colors=tuple(int(c) for c in data["colors"]),
+                size=size,
+                colors=colors,
             )
         if op == "join":
             return JoinTrace(
                 left=trace_from_json(data["left"]),
                 right=trace_from_json(data["right"]),
-                fresh_color=int(data["fresh_color"]),
-                size=int(data["size"]),
-                colors=tuple(int(c) for c in data["colors"]),
+                fresh_color=exact_int(data["fresh_color"], "fresh_color"),
+                size=size,
+                colors=colors,
             )
-        if op == "blowup":
-            q = data["quotient"]
-            n, k = int(q["n"]), int(q["k"])
-            flat = [0] * (n * (n - 1) // 2)
-            from .coloring import edge_index
-
-            seen = 0
-            for u, v, c in q["edges"]:
-                flat[edge_index(n, int(u), int(v))] = int(c)
-                seen += 1
-            if seen != len(flat):
-                raise ValueError("quotient edge list incomplete")
-            return BlowupTrace(
-                quotient=EdgeColoring(n, k, flat),
-                children=tuple(trace_from_json(ch) for ch in data["children"]),
-                size=int(data["size"]),
-                colors=tuple(int(c) for c in data["colors"]),
-            )
+        return BlowupTrace(
+            quotient=_read_payload(data["quotient"]),
+            children=tuple(trace_from_json(ch) for ch in data["children"]),
+            size=size,
+            colors=colors,
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from exc
-    raise ValueError(f"unknown trace op {data.get('op')!r}")

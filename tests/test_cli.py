@@ -136,6 +136,11 @@ def test_malformed_and_missing_files(tmp_path, capsys):
     huge.write_text(json.dumps(payload))
     code, _, err = run(capsys, "verify", "--in", str(huge), "--pattern", "k3")
     assert code == 2 and "error:" in err and "Traceback" not in err
+    # a task file is read as written: a float vertex count is not truncated
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"n": 5.9, "k": 2}))
+    code, _, err = run(capsys, "search", "--task", str(task))
+    assert code == 2 and "error:" in err and "Traceback" not in err
 
 
 def test_partition_of_join(tmp_path, capsys):

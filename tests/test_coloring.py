@@ -263,3 +263,19 @@ def test_trace_json_round_trip(pentagon):
     assert again == tr
     with pytest.raises(ValueError):
         trace_from_json({"op": "nope"})
+    data = trace_to_json(tr)
+    # a quotient header is checked against its edge list before allocating
+    with pytest.raises(ValueError):
+        trace_from_json({**data, "quotient": {"n": 10**6, "k": 2, "edges": []}})
+    # exact integers only, as in the coloring formats
+    for key, bad in [
+        ("size", 2.7),
+        ("size", 20.0),
+        ("colors", [1, 2, 3.0]),
+        ("colors", [1, 2, True]),
+    ]:
+        with pytest.raises(ValueError):
+            trace_from_json({**data, key: bad})
+    join_data = data["children"][0]
+    with pytest.raises(ValueError):
+        trace_from_json({**join_data, "fresh_color": 3.0})

@@ -153,6 +153,9 @@ def sealed_payload(pentagon, **overrides):
         {"edges": first_edge_as([0, 1, 1, 1])},
         {"edges": first_edge_as("011")},
         {"edges": first_edge_as(None)},
+        # the version too: True == 1 and 1.0 == 1, but neither is version 1
+        {"version": True},
+        {"version": 1.0},
     ],
 )
 def test_malformed_json_rejected(pentagon, overrides):

@@ -21,6 +21,15 @@ C4 = PatternSpec.cycle4()
 K3 = PatternSpec.clique(3)
 # a triangle 0-1-2 with the path 2-3-4 hanging off it
 TRIANGLE_WITH_TAIL = PatternSpec.explicit(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+PATTERN_MENU = [
+    ((W4, None),),
+    ((K3, None),),
+    ((C4, None), (P3, None)),
+    ((PatternSpec.clique(4), None),),
+    # wheel:3 and explicit patterns take the generic through-edge path
+    ((PatternSpec.wheel(3), None),),
+    ((TRIANGLE_WITH_TAIL, None),),
+]
 
 
 def test_task_validation():
@@ -38,6 +47,45 @@ def test_task_validation():
         # scoped pattern under color symmetry is rejected outright
         SearchTask(n=3, k=2, forbidden=((K3, 1),), symmetry="colorSwap")
     SearchTask(n=3, k=2, forbidden=((K3, 1),), symmetry="none")
+    # fields are type-checked, never coerced
+    for bad in (
+        {"n": 5.0},
+        {"k": True},
+        {"node_limit": 100.0},
+        {"seed": "1"},
+        {"forbid_rainbow_triangle": 1},
+        {"forbidden": ((K3, 1.0),), "symmetry": "none"},
+    ):
+        with pytest.raises(ValueError):
+            SearchTask(**{"n": 3, "k": 2, **bad})
+    # JSON is taken as written: {"n": 5.9} is not n = 5, and the string
+    # "false" does not switch the rainbow check on
+    explicit_p3 = {"kind": "explicit", "order": 3, "edges": [[0, 1], [1, 2]]}
+    for override in (
+        {"n": 5.9},
+        {"n": "5"},
+        {"n": True},
+        {"k": 2.0},
+        {"forbid_rainbow_triangle": "false"},
+        {"forbid_rainbow_triangle": 0},
+        {"symmetry": 5},
+        {"symmetry": None},
+        {"node_limit": 1e6},
+        {"seed": 1.5},
+        {"forbidden": [{"pattern": {"kind": "clique", "t": 3}, "color": 1.0}]},
+        {"forbidden": [{"pattern": {"kind": "wheel", "m": 4.0}, "color": None}]},
+        {"forbidden": [{"pattern": {"kind": "clique", "t": "3"}, "color": None}]},
+        {"forbidden": [{"pattern": explicit_p3 | {"order": 3.0}}]},
+        {"forbidden": [{"pattern": explicit_p3 | {"edges": [[0, 1.0], [1, 2]]}}]},
+        {"forbidden": [{"pattern": explicit_p3 | {"edges": [[0, 1, 2]]}}]},
+        {"forbidden": [{"pattern": "k3"}]},
+        {"forbidden": ["k3"]},
+        {"forbidden": 3},
+    ):
+        with pytest.raises(ValueError):
+            SearchTask.from_json({"n": 5, "k": 2, "symmetry": "none", **override})
+    ok = {"n": 5, "k": 2, "symmetry": "none", "forbidden": [{"pattern": explicit_p3}]}
+    assert SearchTask.from_json(ok).forbidden[0][0].kind == "explicit"
 
 
 def test_task_json_round_trip():
@@ -74,6 +122,18 @@ def test_single_vertex_task_is_trivial():
 def test_forbidden_everywhere_is_unsatisfiable():
     out = search_witness(SearchTask(n=2, k=2, forbidden=((PatternSpec.clique(2), None),)))
     assert out.status == "exhausted"
+
+
+def test_budget_is_tested_only_before_an_untried_color():
+    # R(3,3) = 6: the tree is exhausted after exactly 183 nodes, so a
+    # limit of 183 still proves it and one node less does not
+    task = dict(n=6, k=2, forbidden=((K3, None),))
+    out = search_witness(SearchTask(**task))
+    assert (out.status, out.stats.nodes) == ("exhausted", 183)
+    out = search_witness(SearchTask(**task, node_limit=183))
+    assert (out.status, out.stats.nodes) == ("exhausted", 183)
+    out = search_witness(SearchTask(**task, node_limit=182))
+    assert (out.status, out.stats.nodes) == ("limit_reached", 182)
 
 
 def test_node_limit_reached():
@@ -198,20 +258,11 @@ def test_incremental_conflict_scoped_color():
 
 def test_incremental_conflict_vs_rescan_oracle():
     rng = random.Random(4242)
-    pattern_menu = [
-        ((W4, None),),
-        ((K3, None),),
-        ((C4, None), (P3, None)),
-        ((PatternSpec.clique(4), None),),
-        # wheel:3 and explicit patterns take the generic through-edge path
-        ((PatternSpec.wheel(3), None),),
-        ((TRIANGLE_WITH_TAIL, None),),
-    ]
     checked = 0
     for trial in range(120):
         n = rng.randint(4, 8)
         k = rng.randint(1, 3)
-        forbidden = pattern_menu[trial % len(pattern_menu)]
+        forbidden = PATTERN_MENU[trial % len(PATTERN_MENU)]
         task = SearchTask(n=n, k=k, forbidden=forbidden, symmetry="none")
         pc = PartialColoring(task)
         edges = list(combinations(range(n), 2))
@@ -230,6 +281,37 @@ def test_incremental_conflict_vs_rescan_oracle():
             )
             assert fast == slow, (n, k, edge, forbidden)
             checked += 1
+    assert checked >= 1000
+
+
+def test_conflict_on_open_edge_equals_conflict_after_assign():
+    # the forward check probes open edges; this pins that no check reads
+    # the bit of the edge itself
+    rng = random.Random(777)
+    checked = 0
+    for trial in range(96):
+        n = rng.randint(4, 8)
+        k = rng.randint(1, 3)
+        task = SearchTask(
+            n=n,
+            k=k,
+            forbidden=PATTERN_MENU[trial % len(PATTERN_MENU)],
+            forbid_rainbow_triangle=trial // len(PATTERN_MENU) % 2 == 1,
+            symmetry="none",
+        )
+        pc = PartialColoring(task)
+        edges = list(combinations(range(n), 2))
+        rng.shuffle(edges)
+        cut = rng.randint(1, len(edges) - 1)
+        for u, v in edges[:cut]:
+            pc.assign(u, v, rng.randint(1, k))
+        for u, v in edges[cut:]:
+            for color in range(1, k + 1):
+                open_answer = pc.conflict(u, v, color)
+                pc.assign(u, v, color)
+                assert pc.conflict(u, v, color) == open_answer, (task, u, v, color)
+                pc.unassign(u, v)
+                checked += 1
     assert checked >= 1000
 
 
