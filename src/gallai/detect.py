@@ -5,8 +5,9 @@ Everything here runs on the per-color adjacency rows kept by
 explicit subset enumeration.  Scan orders are fixed and documented, so
 each detector is deterministic: same input, same certificate.
 
-The mask kernels live in :mod:`gallai.kernels`: `rainbow_thirds` for
-rainbow triangles (shared with the search), `path3_within` for
+The mask kernels live in :mod:`gallai.kernels`: `rainbow_within` for
+rainbow triangles (on `rainbow_thirds`, the test the search shares, and
+also run by `find_gallai_partition` inside each cluster), `path3_within` for
 paths (also behind `has_mono_p3_in_color` and `wheel_from_mono_pair`),
 `cycle4_within` for 4-cycles and, once per hub, for 4-wheels,
 `clique_within` for cliques, `embed` along a `plan` for the rims of
@@ -30,11 +31,10 @@ from .kernels import (
     clique_within,
     cycle4_within,
     embed,
-    least,
     mono_between,
     path3_within,
     plan,
-    rainbow_thirds,
+    rainbow_within,
 )
 from .patterns import Embedding, PatternSpec
 
@@ -57,17 +57,8 @@ def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
     is the lexicographically least rainbow triangle.  Returns None for
     Gallai colorings.
     """
-    n = c.n
-    classes = {col: c.rows(col) for col in c.colors_used()}
-    if len(classes) < 3:
-        return None
-    for u in range(n):
-        for v in range(u + 1, n):
-            adj = classes[c.color_of(u, v)]
-            cand = rainbow_thirds(classes.values(), adj, u, v, above(v) & c.vertex_mask)
-            if cand:
-                return Embedding(_TRIANGLE, None, (u, v, least(cand)))
-    return None
+    hit = rainbow_within(c, c.vertex_mask)
+    return None if hit is None else Embedding(_TRIANGLE, None, hit)
 
 
 def _find_wheel(adj: Rows, m: int) -> Optional[tuple[int, ...]]:

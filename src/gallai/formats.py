@@ -41,6 +41,11 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# what json.loads raises on bad input: JSONDecodeError is a ValueError, as
+# is an integer literal over the int-to-str digit limit; deep nesting
+# raises RecursionError
+_JSON_ERRORS = (ValueError, RecursionError)
+
 
 class FormatError(ValueError):
     """Input that does not satisfy the documented file format."""
@@ -119,7 +124,7 @@ def parse_text(text: str) -> ColoringDocument:
                 blob = body[len("provenance:") :].strip()
                 try:
                     provenance = json.loads(blob)
-                except json.JSONDecodeError as exc:
+                except _JSON_ERRORS as exc:
                     raise FormatError(f"line {lineno}: bad provenance JSON") from exc
                 if not isinstance(provenance, dict):
                     raise FormatError(f"line {lineno}: provenance must be an object")
@@ -168,7 +173,7 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise FormatError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top-level JSON value must be an object")

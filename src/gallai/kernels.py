@@ -8,12 +8,16 @@ of v's neighbors in that color): `EdgeColoring.rows` and
 their arguments.  The full scans return the first copy of a pattern
 inside a mask in a documented order, which decides the certificates
 the detectors promise; the through-edge checks tell the search whether
-the edge (u, v) completes a copy.
+the edge (u, v) completes a copy.  `rainbow_thirds` is the one
+rainbow-triangle test: `rainbow_within` scans a mask of an
+`EdgeColoring` with it, the search probes one edge with it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
+
+from .coloring import edge_index
 
 Rows = Sequence[int]
 Slots = tuple[tuple[int, tuple[int, ...]], ...]
@@ -62,6 +66,8 @@ def cycle4_within(adj: Rows, mask: int) -> Optional[tuple[int, int, int, int]]:
     """
     for a in bits(mask):
         na = adj[a] & mask
+        if na.bit_count() < 2:  # common is inside na: no cycle has a here
+            continue
         for b in bits(mask & above(a)):
             common = na & adj[b]
             if common.bit_count() >= 2:
@@ -146,6 +152,32 @@ def rainbow_thirds(classes: Iterable[Rows], adj: Rows, u: int, v: int, cand: int
     for rows in classes:
         bad |= rows[u] & rows[v]
     return cand & ~bad
+
+
+def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
+    """First rainbow triangle (u, v, w) inside ``mask`` of the `EdgeColoring`
+    c, or None.
+
+    u < v ascend as pairs over the mask; w is the least vertex of the mask
+    above v that fits.
+    """
+    classes = {col: c.rows(col) for col in c.colors_used()}
+    if len(classes) < 3:
+        return None
+    every = tuple(classes.values())
+    colors = c.edge_colors
+    n = c.n
+    for u in bits(mask):
+        row = edge_index(n, u, u + 1) - u - 1  # colors[row + v] is (u, v)
+        rest = mask & above(u)
+        while rest & (rest - 1):  # room for v and a w above it
+            b = rest & -rest
+            v = b.bit_length() - 1
+            rest ^= b  # now the mask above v: the candidates for w
+            cand = rainbow_thirds(every, classes[colors[row + v]], u, v, rest)
+            if cand:
+                return u, v, least(cand)
+    return None
 
 
 # -- through-edge checks on (u, v) in its color's rows `adj` ----------------

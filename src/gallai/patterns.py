@@ -171,9 +171,12 @@ class Embedding:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Embedding":
-        color = data.get("color")
-        return cls(
-            pattern=PatternSpec.from_json(data["pattern"]),
-            color=None if color is None else int(color),
-            vertex_map=tuple(int(x) for x in data["vertices"]),
-        )
+        try:
+            color = data["color"]
+            return cls(
+                pattern=PatternSpec.from_json(data["pattern"]),
+                color=None if color is None else exact_int(color, "color"),
+                vertex_map=tuple(exact_int(x, "vertex") for x in data["vertices"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed embedding JSON: {exc!r}") from exc

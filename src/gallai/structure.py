@@ -21,7 +21,7 @@ from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
 from .errors import PreconditionError
 from .formats import _write_payload
-from .kernels import bits, least, mono_between, path3_within
+from .kernels import bits, least, mono_between, path3_within, rainbow_within
 from .patterns import PatternSpec
 
 __all__ = [
@@ -233,39 +233,50 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     """Construct a Gallai partition of a rainbow-triangle-free coloring.
 
     Raises :class:`PreconditionError` if the coloring has a rainbow
-    triangle, and ValueError for a single vertex.  With at most two
-    used colors the singleton partition is returned.  Otherwise the
-    partition comes from the components left after deleting two color
-    classes, coarsened until all pairs are monochromatic; color pairs
-    are tried in ascending order and the first that yields two or more
-    parts wins, which makes the output deterministic.
+    triangle (naming the one `find_rainbow_triangle` reports), and
+    ValueError for a single vertex.  With at most two used colors the
+    singleton partition is returned.  Otherwise the partition comes
+    from the components left after deleting two color classes,
+    coarsened until all pairs are monochromatic; color pairs are tried
+    in ascending order and the first that yields two or more parts
+    wins, which makes the output deterministic.
 
-    Some pair always does, so the loop below always returns.  By
-    Gallai's theorem (Gallai 1967; Gyárfás–Simonyi 2004) the coloring
-    has a Gallai partition P with at least two parts whose cross colors
-    lie in some pair {a, b} of used colors (with three or more colors
-    used, a single cross color can be paired with any other).  An edge
-    of another color never joins two parts of P, so the components
-    left after deleting a and b each lie inside one part: they refine
-    P, and there are at least two of them.  `_coarsen` only merges two
-    clusters that are not joined in one color, while clusters inside
-    different parts of P always are, so every merge stays inside a part
-    of P and at least two clusters remain.
+    The partition is built first and checked for rainbow triangles
+    afterwards, inside one cluster at a time.  That is enough: after
+    deleting a and b, an edge between two clusters has color a or b,
+    and `_coarsen` leaves any two clusters joined in one color.  A
+    triangle on three clusters then has only the colors a and b, and
+    one with two vertices in a cluster has two edges of the same color
+    to its third vertex; neither is rainbow, so the coloring has a
+    rainbow triangle iff some cluster does.
+
+    A coloring without one always has a pair that yields two parts, so
+    the loop below returns for it; falling through, like a rainbow
+    cluster, proves a rainbow triangle.  By Gallai's theorem (Gallai
+    1967; Gyárfás–Simonyi 2004) such a coloring has a Gallai partition
+    P with at least two parts whose cross colors lie in some pair
+    {a, b} of used colors (with three or more colors used, a single
+    cross color can be paired with any other).  An edge of another
+    color never joins two parts of P, so the components left after
+    deleting a and b each lie inside one part: they refine P, and there
+    are at least two of them.  `_coarsen` only merges two clusters that
+    are not joined in one color, while clusters inside different parts
+    of P always are, so every merge stays inside a part of P and at
+    least two clusters remain.
     """
     if c.n < 2:
         raise ValueError("partition needs at least two vertices")
-    rainbow = find_rainbow_triangle(c)
-    if rainbow is not None:
-        raise PreconditionError(
-            f"rainbow triangle at vertices {rainbow.vertex_map}"
-        )
     used = sorted(c.colors_used())
     if len(used) <= 2:
         return _build_partition(c, [1 << v for v in range(c.n)])
     for a, b in combinations(used, 2):
         clusters = _coarsen(c, _components_avoiding(c, a, b))
         if len(clusters) >= 2:
-            return _build_partition(c, clusters)
+            if not any(rainbow_within(c, m) for m in clusters):
+                return _build_partition(c, clusters)
+            break
+    rainbow = find_rainbow_triangle(c)
+    raise PreconditionError(f"rainbow triangle at vertices {rainbow.vertex_map}")
 
 
 def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:

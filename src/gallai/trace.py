@@ -135,6 +135,12 @@ def trace_to_json(trace: ConstructionTrace) -> dict[str, Any]:
     raise ValueError(f"not a construction trace: {trace!r}")
 
 
+def _text(value: object, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def trace_from_json(data: dict[str, Any]) -> ConstructionTrace:
     try:
         op = data["op"]
@@ -144,8 +150,8 @@ def trace_from_json(data: dict[str, Any]) -> ConstructionTrace:
         colors = tuple(exact_int(c, "color") for c in data["colors"])
         if op == "base":
             return BaseTrace(
-                label=str(data["label"]),
-                digest=str(data["digest"]),
+                label=_text(data["label"], "label"),
+                digest=_text(data["digest"], "digest"),
                 size=size,
                 colors=colors,
             )

@@ -279,3 +279,19 @@ def test_trace_json_round_trip(pentagon):
     join_data = data["children"][0]
     with pytest.raises(ValueError):
         trace_from_json({**join_data, "fresh_color": 3.0})
+    # a base leaf's label and digest are strings, never coerced
+    base_data = join_data["left"]
+    assert trace_from_json(base_data) == bt
+    for key, bad in [
+        ("digest", None),
+        ("digest", 5),
+        ("digest", ["ab"]),
+        ("label", 5),
+        ("label", None),
+        ("label", True),
+    ]:
+        with pytest.raises(ValueError):
+            trace_from_json({**base_data, key: bad})
+    for key in ("label", "digest"):
+        with pytest.raises(ValueError):
+            trace_from_json({k: v for k, v in base_data.items() if k != key})

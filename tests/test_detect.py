@@ -5,6 +5,7 @@ import pytest
 import oracles
 from gallai import (
     EdgeColoring,
+    Embedding,
     PatternSpec,
     PreconditionError,
     find_mono,
@@ -15,6 +16,7 @@ from gallai import (
     restrict,
     wheel_from_mono_pair,
 )
+from gallai.kernels import cycle4_within, rainbow_within
 
 W4 = PatternSpec.wheel(4)
 P3 = PatternSpec.path3()
@@ -57,6 +59,97 @@ def test_rainbow_returns_lex_least_triangle():
         hit = find_rainbow_triangle(c)
         if expected:
             assert hit is not None and tuple(hit.vertex_map) == min(expected)
+
+
+def _random_masks(rng, n):
+    # dense, sparse and empty masks, plus the full vertex set
+    yield (1 << n) - 1
+    yield 0
+    for p in (0.15, 0.35, 0.6, 0.9):
+        yield sum(1 << v for v in range(n) if rng.random() < p)
+
+
+def test_rainbow_within_is_least_oracle_triangle_inside_mask():
+    rng = random.Random(41)
+    hits = 0
+    for trial in range(120):
+        n = rng.randint(1, 11)
+        c = oracles.arbitrary_coloring(n, rng.randint(2, 5), trial * 31 + 7)
+        every = oracles.rainbow_triangles(c)
+        for mask in _random_masks(rng, n):
+            inside = [t for t in every if all(mask >> v & 1 for v in t)]
+            got = rainbow_within(c, mask)
+            assert got == (min(inside) if inside else None)
+            hits += got is not None
+    assert hits > 100
+
+
+def _first_cycle4(c, color, mask):
+    # documented order: a < b ascending, then the two least common neighbors
+    vs = [v for v in range(c.n) if mask >> v & 1]
+    for i, a in enumerate(vs):
+        for b in vs[i + 1 :]:
+            common = [
+                x for x in vs
+                if x not in (a, b)
+                and c.color_of(a, x) == color and c.color_of(b, x) == color
+            ]
+            if len(common) >= 2:
+                return a, common[0], b, common[1]
+    return None
+
+
+def test_cycle4_within_returns_first_cycle_in_documented_order():
+    rng = random.Random(43)
+    hits = misses = 0
+    for trial in range(120):
+        n = rng.randint(1, 10)
+        k = rng.randint(1, 4)
+        c = oracles.arbitrary_coloring(n, k, trial * 53 + 11)
+        for color in range(1, k + 1):
+            for mask in _random_masks(rng, n):
+                want = _first_cycle4(c, color, mask)
+                assert cycle4_within(c.rows(color), mask) == want
+                hits += want is not None
+                misses += want is None
+    assert hits > 100 and misses > 100
+
+
+def test_embedding_json_round_trip_and_strict(pentagon):
+    certs = [
+        find_mono(join(pentagon, pentagon, 3), C4, 3),
+        find_mono(mono(5), W4),
+        find_rainbow_triangle(EdgeColoring(3, 3, [1, 2, 3])),
+    ]
+    for emb in certs:
+        assert Embedding.from_json(emb.to_json()) == emb
+    # once read as a colour-1 triangle on (0, 1, 2)
+    with pytest.raises(ValueError):
+        Embedding.from_json({"pattern": {"kind": "clique", "t": 3}, "color": 1.9,
+                             "vertices": [0.7, 1, "2"]})
+    data = certs[0].to_json()
+    bad = [
+        {"color": 1.9},
+        {"color": 3.0},
+        {"color": True},
+        {"color": "3"},
+        {"vertices": [0.7, 1, "2", 3]},
+        {"vertices": [0, 1, 2, 3.0]},
+        {"vertices": [0, 1, 2, False]},
+        {"vertices": 5},
+        {"vertices": None},
+        {"pattern": "c4"},
+        {"pattern": {"kind": "clique", "t": 3.0}},
+    ]
+    for override in bad:
+        with pytest.raises(ValueError):
+            Embedding.from_json({**data, **override})
+    for key in ("color", "pattern", "vertices"):
+        with pytest.raises(ValueError):
+            Embedding.from_json({k: v for k, v in data.items() if k != key})
+    for shape in (None, [], "c4", 7):
+        with pytest.raises(ValueError):
+            Embedding.from_json(shape)
 
 
 def test_pattern_larger_than_host():

@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gallai import (
@@ -225,3 +228,135 @@ def test_document_constructor_validates_digest(pentagon):
         ColoringDocument(pentagon, digest="f" * 64)
     sealed = ColoringDocument.sealed(pentagon)
     assert sealed.digest == canonical_digest(pentagon)
+
+
+def test_json_the_decoder_rejects_is_a_format_error():
+    # json.loads raises ValueError (not JSONDecodeError) past the int digit
+    # limit, and RecursionError on deep nesting
+    huge, deep = "1" * 5000, "[" * 100_000 + "]" * 100_000
+    for blob in (huge, deep):
+        with pytest.raises(FormatError):
+            parse_json(blob)
+        with pytest.raises(FormatError):
+            parse_text(f"2 1\n1\n# provenance: {blob}\n")
+    with pytest.raises(FormatError):
+        parse_json('{"format": "gallai-coloring", "n": ' + huge + "}")
+
+
+# -- mutations of valid documents: parse and round-trip, or FormatError ----
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    m = n * (n - 1) // 2
+    c = EdgeColoring(n, k, draw(st.lists(st.integers(1, k), min_size=m, max_size=m)))
+    provenance = draw(
+        st.none()
+        | st.just({"kind": "fuzz"})
+        | st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=2)
+    )
+    digest = canonical_digest(c) if draw(st.booleans()) else None
+    return ColoringDocument(c, digest, provenance)
+
+
+# pieces that are likely to make a document almost valid
+_SNIPPETS = ["0", "1", "2", "3", "9", "-", " ", "\n", "\t", "#", "x", ".", ":", ",",
+             "{", "}", "[", "]", '"', "\u00e9", "# digest: ", "# provenance: ", "null"]
+_VALUES = [None, True, False, 0, 1, -1, 2, 7, 1.0, 1.5, 2**40, "", "1", "x",
+           [], {}, [0, 1], [0, 1, 1], [0, 1, 1.0], {"kind": "fuzz"}]
+_KEYS = ["n", "k", "edges", "digest", "provenance", "format", "version", "extra"]
+
+
+@st.composite
+def text_mutations(draw, text):
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "line"]))
+        i = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 3)):]
+        elif kind == "replace":
+            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[i + 1:]
+        else:
+            lines = text.split("\n")
+            j = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                lines.insert(j, lines[j])
+            else:
+                del lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+@st.composite
+def value_mutations(draw, value):
+    value = copy.deepcopy(value)
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(value, (dict, list)) or draw(st.integers(0, 19)) == 0:
+            value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+            continue
+        node = value  # walk down to a container, then change one slot of it
+        while True:
+            slots = node.keys() if isinstance(node, dict) else range(len(node))
+            inner = [s for s in slots if isinstance(node[s], (dict, list))]
+            if not inner or draw(st.booleans()):
+                break
+            node = node[draw(st.sampled_from(inner))]
+        slots = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        new = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+        kind = draw(st.sampled_from(["set", "delete", "add"]))
+        if kind != "add" and slots:
+            slot = draw(st.sampled_from(slots))
+            if kind == "set":
+                node[slot] = new
+            else:
+                del node[slot]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = new
+        else:
+            node.insert(draw(st.integers(0, len(node))), new)
+    return value
+
+
+@st.composite
+def text_inputs(draw):
+    return draw(text_mutations(render_text(draw(documents()))))
+
+
+@st.composite
+def json_inputs(draw):
+    payload = render_json(draw(documents()))
+    if draw(st.booleans()):
+        return draw(text_mutations(json.dumps(payload)))
+    value = draw(value_mutations(payload))
+    return json.dumps(value) if draw(st.booleans()) else value
+
+
+def assert_round_trips(doc):
+    text = render_text(doc)
+    assert render_text(parse_text(text)) == text
+    blob = json.dumps(render_json(doc), sort_keys=True)
+    assert json.dumps(render_json(parse_json(blob)), sort_keys=True) == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_inputs())
+def test_mutated_text_round_trips_or_raises_format_error(text):
+    try:
+        doc = parse_text(text)
+    except FormatError:
+        return
+    assert_round_trips(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_inputs())
+def test_mutated_json_round_trips_or_raises_format_error(data):
+    try:
+        doc = parse_json(data)
+    except FormatError:
+        return
+    assert_round_trips(doc)

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+import oracles
 from gallai import (
     ApexSequence,
     EdgeColoring,
@@ -14,6 +16,7 @@ from gallai import (
     cross_color_profile,
     find_gallai_partition,
     find_mono,
+    find_rainbow_triangle,
     join,
     load_base14,
     peel_apex_sequence,
@@ -21,8 +24,11 @@ from gallai import (
     random_gallai,
     recolor,
     reduced_graph,
+    restrict,
+    substitute,
     verify_gallai_partition,
 )
+from gallai.structure import _coarsen, _components_avoiding
 
 W4 = PatternSpec.wheel(4)
 
@@ -117,6 +123,51 @@ def test_find_partition_preconditions():
         find_gallai_partition(EdgeColoring(3, 3, [1, 2, 3]))
     with pytest.raises(ValueError):
         find_gallai_partition(EdgeColoring(1, 1, []))
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _first_split(c):
+    # clusters of the first color pair that yields two, as the partition
+    # tries them; None when no pair does
+    for a, b in combinations(sorted(c.colors_used()), 2):
+        clusters = _coarsen(c, _components_avoiding(c, a, b))
+        if len(clusters) >= 2:
+            return clusters
+    return None
+
+
+def test_find_partition_precondition_on_both_routes():
+    rng = random.Random(808)
+    triangle = EdgeColoring(3, 3, [1, 2, 3])
+    cases = [triangle, join(triangle, EdgeColoring(1, 1, []), 4)]
+    for trial in range(40):
+        # arbitrary colorings, and arbitrary parts blown up into a
+        # two-colored quotient whose colors they do not use
+        cases.append(oracles.arbitrary_coloring(rng.randint(4, 9), 4, trial + 70))
+        quotient = oracles.arbitrary_coloring(rng.randint(2, 4), 2, trial + 90)
+        parts = [
+            oracles.arbitrary_coloring(rng.randint(1, 5), 3, trial * 7 + j)
+            for j in range(quotient.n)
+        ]
+        cases.append(substitute(recolor(quotient, {1: 4, 2: 5}), parts))
+    routes = {"rainbow cluster": 0, "no split": 0}
+    for c in cases:
+        if find_rainbow_triangle(c) is None:
+            continue
+        split = _first_split(c)
+        if split is None:
+            routes["no split"] += 1
+        else:
+            assert any(oracles.rainbow_triangles(restrict(c, _members(m))) for m in split)
+            routes["rainbow cluster"] += 1
+        with pytest.raises(PreconditionError) as exc:
+            find_gallai_partition(c)
+        want = f"rainbow triangle at vertices {find_rainbow_triangle(c).vertex_map}"
+        assert str(exc.value) == want
+    assert min(routes.values()) >= 10, routes
 
 
 def test_find_partition_fuzz_valid_and_narrow():
