@@ -184,6 +184,9 @@ def cmd_search(args) -> int:
         "status": outcome.status,
         "nodes": outcome.stats.nodes,
         "prunes": outcome.stats.prunes,
+        "prunes_conflict": outcome.stats.prunes_conflict,
+        "prunes_lookahead": outcome.stats.prunes_lookahead,
+        "prunes_canonical": outcome.stats.prunes_canonical,
         "restarts": outcome.stats.restarts,
         "elapsed": round(outcome.stats.elapsed, 6),
         "witness_digest": None,

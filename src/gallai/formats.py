@@ -97,13 +97,14 @@ def render_text(doc: ColoringDocument) -> str:
 
 
 def _int_tokens(line: str, lineno: int) -> list[int]:
-    out = []
-    for tok in line.split():
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"line {lineno}: {tok!r} is not an integer") from None
-    return out
+    # ASCII digits only: int() alone also takes a sign, "_" and the
+    # digits of other scripts.  One test per line keeps parsing cheap
+    tokens = line.split()
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+        raise FormatError(f"line {lineno}: {bad!r} is not an integer")
+    return list(map(int, tokens))
 
 
 def parse_text(text: str) -> ColoringDocument:

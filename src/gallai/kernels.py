@@ -182,6 +182,8 @@ def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
 
 # -- through-edge checks on (u, v) in its color's rows `adj` ----------------
 # None reads the bit of (u, v) itself, so the edge may still be open.
+# They run on every search probe, so they walk masks with inline
+# ``x & -x`` loops instead of the `bits` generator.
 
 
 def path3_through(adj: Rows, u: int, v: int) -> bool:
@@ -189,10 +191,13 @@ def path3_through(adj: Rows, u: int, v: int) -> bool:
 
 
 def cycle4_through(adj: Rows, u: int, v: int) -> bool:
-    bu, bv = 1 << u, 1 << v
-    for a in bits(adj[v] & ~bu):
-        if adj[a] & adj[u] & ~bv:
+    nu = adj[u] & ~(1 << v)
+    rest = adj[v] & ~(1 << u)
+    while rest:  # a 4-cycle u-v-a-x-u
+        b = rest & -rest
+        if adj[b.bit_length() - 1] & nu:
             return True
+        rest ^= b
     return False
 
 
@@ -202,25 +207,33 @@ def wheel4_through(adj: Rows, u: int, v: int) -> bool:
     both = mu & mv
     if not both:  # every copy through (u, v) has a vertex seeing both
         return False
-    # u as hub: a 4-cycle through v inside N(u)
-    for a in bits(both):
-        opp = adj[a] & mu & ~bv
-        if opp:
-            for b in bits(both & ~((1 << (a + 1)) - 1)):
-                if opp & adj[b]:
-                    return True
-    # v as hub, symmetric
-    for a in bits(both):
-        opp = adj[a] & mv & ~bu
-        if opp:
-            for b in bits(both & ~((1 << (a + 1)) - 1)):
-                if opp & adj[b]:
-                    return True
+    # u as hub: a 4-cycle through v inside N(u), rim neighbors a < b of
+    # v in `both`; then v as hub, symmetric
+    for hub_row, other in ((mu, bv), (mv, bu)):
+        rest = both
+        while rest:
+            ba = rest & -rest
+            rest ^= ba  # now the rim candidates above a
+            opp = adj[ba.bit_length() - 1] & hub_row & ~other
+            if opp:
+                later = rest
+                while later:
+                    bb = later & -later
+                    if opp & adj[bb.bit_length() - 1]:
+                        return True
+                    later ^= bb
     # (u, v) as a rim edge: hub h sees both, rim closes u-v-w-x-u
-    for h in bits(both):
-        ring = adj[h]
-        bh = 1 << h
-        for w in bits(mv & ring & ~bu & ~bh):
-            if adj[w] & mu & ring & ~bv & ~bh:
-                return True
+    rest = both
+    while rest:
+        bh = rest & -rest
+        rest ^= bh
+        ring = adj[bh.bit_length() - 1]
+        ws = mv & ring & ~bu & ~bh
+        if ws:
+            tail = mu & ring & ~bv & ~bh
+            while ws:
+                bw = ws & -ws
+                if adj[bw.bit_length() - 1] & tail:
+                    return True
+                ws ^= bw
     return False

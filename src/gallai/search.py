@@ -22,9 +22,23 @@ Design notes, fixed for reproducibility:
   `clique_within` on the common neighborhood of the edge's ends for
   cliques, and `embed` along one `plan` per anchored pattern edge for
   every other pattern.  None of them reads the edge's own bit, so the
-  forward check probes every later edge of the column while it is open.
-* The walk is one loop over an explicit stack (colors tried and the
-  ``colorSwap`` bound per position); it never recurses.
+  forward check probes the later edges of the column while they are
+  open.  Every probe goes through `PartialColoring.conflict`.
+* The forward check keeps a color domain per edge (j, v) of the open
+  column: the bitmask of colors that complete no forbidden structure.
+  On arriving at (0, v) every color of every (j, v) is probed once.
+  After a move (u, v) = c only color c's rows have changed, so each
+  later (j, v) is probed in c alone, and only while c is in its domain;
+  the rainbow constraint sees one new triangle (j, u, v), which narrows
+  the domain of (j, v) to {c, color(u, j)} when those differ, with no
+  probe.  A move that empties a later domain is pruned.  A color
+  outside its own edge's domain is still a counted node and a prune,
+  decided without a probe, so the node and prune counts are those of
+  probing every color of every later edge after each move.
+* The walk is one loop over an explicit stack (colors tried, the
+  ``colorSwap`` bound and the column's domains per position); it never
+  recurses.  The domains are one list per position, copied on each
+  move, so backtracking drops them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -164,15 +178,23 @@ class SearchTask:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Node accounting.  ``nodes`` counts attempted color assignments,
-    ``prunes`` the attempts rejected by conflict, lookahead, or
-    canonical-form checks.  Both are deterministic per task; ``elapsed``
-    (seconds) is not."""
+    """Node accounting.  ``nodes`` counts attempted color assignments;
+    ``prunes`` the attempts rejected, by cause: the edge's own color
+    completes a forbidden structure (``prunes_conflict``), a later edge
+    of the column is left without a color (``prunes_lookahead``), or the
+    completed column is not in canonical form (``prunes_canonical``).
+    All are deterministic per task; ``elapsed`` (seconds) is not."""
 
     nodes: int
-    prunes: int
+    prunes_conflict: int
+    prunes_lookahead: int
+    prunes_canonical: int
     restarts: int
     elapsed: float
+
+    @property
+    def prunes(self) -> int:
+        return self.prunes_conflict + self.prunes_lookahead + self.prunes_canonical
 
 
 @dataclass(frozen=True)
@@ -341,12 +363,22 @@ def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
     return True
 
 
+def _column_domains(conflict, palette: list[int], w: int) -> list[int]:
+    # the domain of each (j, w) before column w has an edge: every color probed
+    return [sum(1 << c for c in palette if not conflict(j, w, c)) for j in range(w)]
+
+
 def search_witness(task: SearchTask) -> SearchOutcome:
     """Run the backtracking engine on ``task``.
 
     Returns a witness (re-validated with the detectors), a proof of
     exhaustion, or ``limit_reached`` once ``node_limit`` assignment
     attempts are spent.  Single-threaded and deterministic.
+
+    The forward check keeps the colors each edge of the open column can
+    still take, as one bitmask per edge; a color outside its edge's
+    domain is still a counted node and a prune, decided without a
+    kernel call.
     """
     t_start = time.perf_counter()
     n, k = task.n, task.k
@@ -354,10 +386,11 @@ def search_witness(task: SearchTask) -> SearchOutcome:
     order = [(u, v) for v in range(1, n) for u in range(v)]
     colorswap = task.symmetry in ("colorSwap", "vertexOrder")
     vertexorder = task.symmetry == "vertexOrder"
+    rainbow = task.forbid_rainbow_triangle
     limit = task.node_limit
 
     nodes = 0
-    prunes = 0
+    prunes_conflict = prunes_lookahead = prunes_canonical = 0
     base_order = list(range(1, k + 1))
     color_orders: list[list[int]] = [base_order] * m
 
@@ -367,13 +400,18 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             color_orders = [rng.sample(base_order, k) for _ in range(m)]
         stop_at = min(limit, nodes + (_RESTART_BASE << restart))
         pc = PartialColoring(task)
+        conflict = pc.conflict
+        edge_colors = pc.colors
         tried = [0] * m  # colors of color_orders[pos] tried at pos
         max_used = [0] * (m + 1)  # largest color on the edges before pos
+        # domains[pos][j]: bit c set iff (j, v) colored c completes no
+        # forbidden structure, given the edges before pos; (u, v) = order[pos]
+        domains: list[list[int]] = [[]] * m
         pos = 0
+        if m:
+            domains[0] = _column_domains(conflict, base_order, 1)
         while 0 <= pos < m:
             u, v = order[pos]
-            if tried[pos]:  # the edge still holds the last color tried here
-                pc.unassign(u, v)
             colors = color_orders[pos]
             top = min(k, max_used[pos] + 1) if colorswap else k
             i = tried[pos]
@@ -382,32 +420,61 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             if i == k:  # every color tried: back to the previous edge
                 tried[pos] = 0
                 pos -= 1
+                if pos >= 0:
+                    pc.unassign(*order[pos])
                 continue
             if nodes >= stop_at:
                 break
             c = colors[i]
             tried[pos] = i + 1
             nodes += 1
+            dom = domains[pos]
+            if not dom[u] >> c & 1:
+                prunes_conflict += 1
+                continue
             pc.assign(u, v, c)
-            ok = not pc.conflict(u, v, c)
-            if ok:
-                # forward check: every later edge into v must keep an option
+            if u + 1 < v:
+                # forward check: every later edge into v must keep an
+                # option.  Only color c's rows changed, so the patterns
+                # need probing in c alone; the new triangle (j, u, v)
+                # narrows (j, v) to {c, color(u, j)} for rainbow
+                nxt = dom[:]
+                bc = 1 << c
+                row = edge_index(n, u, u + 1) - u - 1  # edge_colors[row + j] is (u, j)
+                ok = True
                 for j in range(u + 1, v):
-                    if all(pc.conflict(j, v, c2) for c2 in base_order):
+                    d = nxt[j]
+                    if rainbow:
+                        x = edge_colors[row + j]
+                        if x != c:
+                            d &= bc | 1 << x
+                    if d & bc and conflict(j, v, c):
+                        d ^= bc
+                    if not d:
                         ok = False
                         break
-            if ok and vertexorder and u == v - 1:
-                ok = _canonical_ok(pc, order, v)
-            if not ok:
-                prunes += 1
-                continue
+                    nxt[j] = d
+                if not ok:
+                    prunes_lookahead += 1
+                    pc.unassign(u, v)
+                    continue
+                domains[pos + 1] = nxt
+            else:  # the column is complete
+                if vertexorder and not _canonical_ok(pc, order, v):
+                    prunes_canonical += 1
+                    pc.unassign(u, v)
+                    continue
+                if pos + 1 < m:
+                    domains[pos + 1] = _column_domains(conflict, base_order, v + 1)
             max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
             pos += 1
         if pos == m or pos < 0 or nodes >= limit:
             break
 
     elapsed = time.perf_counter() - t_start
-    stats = SearchStats(nodes, prunes, restart, elapsed)
+    stats = SearchStats(
+        nodes, prunes_conflict, prunes_lookahead, prunes_canonical, restart, elapsed
+    )
     if pos == m:
         witness = EdgeColoring(n, k, pc.colors)
         _revalidate(task, witness)

@@ -195,7 +195,10 @@ def test_search_witness_and_exit_codes(tmp_path, capsys):
 def test_search_exhausted_exit_1(capsys):
     code, out, _ = run(capsys, "search", "--n", "6", "--k", "2", "--pattern", "k3")
     assert code == 1
-    assert json.loads(out)["status"] == "exhausted"
+    report = json.loads(out)
+    assert report["status"] == "exhausted"
+    causes = ("prunes_conflict", "prunes_lookahead", "prunes_canonical")
+    assert sum(report[cause] for cause in causes) == report["prunes"] > 0
 
 
 def test_search_limit_exit_3(capsys):

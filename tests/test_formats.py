@@ -110,6 +110,13 @@ def test_comments_and_blank_lines_tolerated():
         "3 2\n# provenance: [1, 2]\n1 2\n1\n",  # not an object
         "3 2\n# provenance: {broken\n1 2\n1\n",
         "3 2\n# provenance: {}\n# provenance: {}\n1 2\n1\n",
+        # tokens are ASCII digits only; int() would read each of these
+        # as a valid document
+        "0_3 2\n1 2\n1\n",
+        "3 +2\n1 2\n1\n",
+        "3 2\n+1 2\n1\n",
+        "3 2\n1 \u0662\n1\n",  # Arabic-Indic digit two
+        "3 2\n1 2\n\uff11\n",  # fullwidth digit one
     ],
 )
 def test_malformed_text_rejected(text):

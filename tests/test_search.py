@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,6 +16,9 @@ from gallai import (
     search_witness,
     verify_unavoidable,
 )
+from gallai import search as search_module
+from gallai.coloring import canonical_digest
+from gallai.kernels import cycle4_through, wheel4_through
 
 W4 = PatternSpec.wheel(4)
 P3 = PatternSpec.path3()
@@ -30,6 +35,10 @@ PATTERN_MENU = [
     ((PatternSpec.wheel(3), None),),
     ((TRIANGLE_WITH_TAIL, None),),
 ]
+# SHA-256 of test_search_counts_match_pinned_digest's rows
+PINNED_SEARCH_DIGEST = (
+    "8b31739731a1c812a1fd27fde9507324e0ce8c8c296719070fb59d77a43444a0"
+)
 
 
 def test_task_validation():
@@ -315,6 +324,83 @@ def test_conflict_on_open_edge_equals_conflict_after_assign():
     assert checked >= 1000
 
 
+def _brute_wheel4_cases(adj, u, v):
+    """Which of the three ways a 4-wheel can pass through the edge (u, v)
+    exist when (u, v) is added to the graph ``adj``: u the hub, v the
+    hub, (u, v) a rim edge."""
+
+    def e(a, b):
+        return {a, b} == {u, v} or bool(adj[a] >> b & 1)
+
+    others = [w for w in range(len(adj)) if w not in (u, v)]
+
+    def hub_at(h, x):  # hub h, rim x-a-b-c-x
+        return any(
+            e(x, a) and e(a, b) and e(b, c) and e(c, x) and e(h, a) and e(h, b)
+            and e(h, c)
+            for a, b, c in permutations(others, 3)
+        )
+
+    rim = any(
+        e(h, u) and e(h, v) and e(h, w) and e(h, x) and e(v, w) and e(w, x)
+        and e(x, u)
+        for h in others
+        for w, x in permutations([o for o in others if o != h], 2)
+    )
+    return hub_at(u, v), hub_at(v, u), rim
+
+
+def test_through_edge_kernels_vs_brute_force():
+    # the search-only kernels against an enumeration of every copy through
+    # (u, v), on random dense rows and on sparse rows with one planted
+    # wheel of each kind; the bit of (u, v) is random, since the kernels
+    # must not read it
+    rng = random.Random(2024)
+    seen = {"hub u": 0, "hub v": 0, "rim": 0, "none": 0}
+    c4_answers = set()
+    for trial in range(360):
+        n = rng.randint(5, 12)
+        density = (0.25, 0.4, 0.55, 0.7)[trial % 4]
+        adj = [0] * n
+
+        def link(a, b):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+        for a, b in combinations(range(n), 2):
+            if rng.random() < density:
+                link(a, b)
+        u, v, *rest = rng.sample(range(n), 5)
+        if density == 0.25:  # hub u, hub v, or a rim through (u, v)
+            hub, x, *rim = (
+                (u, v, *rest[:3]), (v, u, *rest[:3]), (rest[0], u, v, *rest[1:3])
+            )[trial // 4 % 3]
+            ring = [x, *rim]
+            for i, a in enumerate(ring):
+                link(hub, a)
+                link(a, ring[i - 1])
+        if rng.random() < 0.5:
+            link(u, v)
+        else:
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        cases = _brute_wheel4_cases(adj, u, v)
+        assert wheel4_through(adj, u, v) == any(cases), (adj, u, v)
+        # count the samples where one case alone gives the wheel
+        if sum(cases) == 1:
+            seen[("hub u", "hub v", "rim")[cases.index(True)]] += 1
+        seen["none"] += not any(cases)
+        others = [w for w in range(n) if w not in (u, v)]
+        c4 = any(
+            adj[v] >> a & 1 and adj[a] >> x & 1 and adj[x] >> u & 1
+            for a, x in permutations(others, 2)
+        )
+        assert cycle4_through(adj, u, v) == c4, (adj, u, v)
+        c4_answers.add(c4)
+    assert min(seen.values()) >= 5, seen
+    assert c4_answers == {True, False}
+
+
 def test_incremental_rainbow_vs_rescan():
     rng = random.Random(515)
     task = SearchTask(n=7, k=4, forbid_rainbow_triangle=True, symmetry="none")
@@ -346,6 +432,29 @@ def test_restarts_engage_and_stay_deterministic():
     )
 
 
+def test_prunes_by_cause_sum_and_repeat():
+    # base14, and GR3(K3) = 11 exhausted under vertexOrder, which prunes
+    # for all three causes
+    tasks = {
+        SearchTask(n=14, k=2, forbidden=((W4, None),)): (5147, 1473, 1076, 0),
+        SearchTask(
+            n=11,
+            k=3,
+            forbidden=((K3, None),),
+            forbid_rainbow_triangle=True,
+            symmetry="vertexOrder",
+        ): (10079, 5471, 900, 348),
+    }
+    for task, pinned in tasks.items():
+        runs = []
+        for _ in range(2):
+            s = search_witness(task).stats
+            causes = (s.prunes_conflict, s.prunes_lookahead, s.prunes_canonical)
+            assert sum(causes) == s.prunes
+            runs.append((s.nodes, *causes))
+        assert runs == [pinned, pinned]
+
+
 def test_witnesses_are_revalidated_by_detectors():
     # spot check: every witness the engine hands back survives the
     # independent oracles too
@@ -357,3 +466,49 @@ def test_witnesses_are_revalidated_by_detectors():
         assert out.status == "witness"
         for color in (1, 2):
             assert not oracles.has_mono_w4(out.witness, color)
+
+
+def _pinned_matrix():
+    # every menu entry, k = 2..4, rainbow off and on, all three
+    # symmetries, plus color-scoped tasks; n grows with k so that every
+    # status occurs
+    for forbidden in PATTERN_MENU:
+        for k in (2, 3, 4):
+            for rainbow in (False, True):
+                for symmetry in ("none", "colorSwap", "vertexOrder"):
+                    yield SearchTask(
+                        n=5 + k,
+                        k=k,
+                        forbidden=forbidden,
+                        forbid_rainbow_triangle=rainbow,
+                        symmetry=symmetry,
+                        node_limit=4000,
+                    )
+    for k in (2, 3):
+        yield SearchTask(
+            n=7,
+            k=k,
+            forbidden=((K3, 1), (C4, k)),
+            forbid_rainbow_triangle=k == 3,
+            symmetry="none",
+            node_limit=4000,
+        )
+
+
+def test_search_counts_match_pinned_digest(monkeypatch):
+    # status, node/prune/restart counts and witness digest of each task,
+    # at the default restart budget and at one small enough to restart
+    # most tasks many times
+    rows = []
+    for restart_base in (search_module._RESTART_BASE, 50):
+        monkeypatch.setattr(search_module, "_RESTART_BASE", restart_base)
+        for task in _pinned_matrix():
+            out = search_witness(task)
+            s = out.stats
+            witness = out.witness and canonical_digest(out.witness)
+            rows.append([out.status, s.nodes, s.prunes, s.restarts, witness])
+    statuses = {row[0] for row in rows}
+    assert statuses == {"witness", "exhausted", "limit_reached"}
+    assert sum(row[3] for row in rows) > 100
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_SEARCH_DIGEST
