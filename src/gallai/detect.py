@@ -5,9 +5,11 @@ Everything here runs on the per-color adjacency rows kept by
 explicit subset enumeration.  Scan orders are fixed and documented, so
 each detector is deterministic: same input, same certificate.
 
-The mask kernels live in :mod:`gallai.kernels`: `rainbow_within` for
-rainbow triangles (on `rainbow_thirds`, the test the search shares, and
-also run by `find_gallai_partition` inside each cluster), `path3_within` for
+The mask kernels live in :mod:`gallai.kernels`: `rainbow_free` (Gallai
+splits over a worklist, shared with `find_gallai_partition`) to show
+that there is no rainbow triangle, and `rainbow_within` (on
+`rainbow_thirds`, the test the search shares) to name the least one
+when there is; `path3_within` for
 paths (also behind `has_mono_p3_in_color` and `wheel_from_mono_pair`),
 `cycle4_within` for 4-cycles and, once per hub, for 4-wheels,
 `clique_within` for cliques, `embed` along a `plan` for the rims of
@@ -29,11 +31,13 @@ from .kernels import (
     above,
     bits,
     clique_within,
+    color_classes,
     cycle4_within,
     embed,
     mono_between,
     path3_within,
     plan,
+    rainbow_free,
     rainbow_within,
 )
 from .patterns import Embedding, PatternSpec
@@ -53,12 +57,14 @@ _WHEEL4 = PatternSpec.wheel(4)
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
     """First triangle whose three edges carry three distinct colors.
 
-    Scans ordered triples u < v < w ascending; the returned embedding
-    is the lexicographically least rainbow triangle.  Returns None for
-    Gallai colorings.
+    Returns None for Gallai colorings, which `rainbow_free` proves by
+    Gallai splits alone.  Otherwise the full `rainbow_within` scan over
+    ordered triples u < v < w ascending names the lexicographically
+    least rainbow triangle.
     """
-    hit = rainbow_within(c, c.vertex_mask)
-    return None if hit is None else Embedding(_TRIANGLE, None, hit)
+    if rainbow_free(color_classes(c), (c.vertex_mask,)):
+        return None
+    return Embedding(_TRIANGLE, None, rainbow_within(c, c.vertex_mask))
 
 
 def _find_wheel(adj: Rows, m: int) -> Optional[tuple[int, ...]]:

@@ -46,6 +46,9 @@ FORMAT_VERSION = 1
 # raises RecursionError
 _JSON_ERRORS = (ValueError, RecursionError)
 
+# the only characters that separate .grc tokens
+_BLANKS = " \t"
+
 
 class FormatError(ValueError):
     """Input that does not satisfy the documented file format."""
@@ -97,13 +100,17 @@ def render_text(doc: ColoringDocument) -> str:
 
 
 def _int_tokens(line: str, lineno: int) -> list[int]:
-    # ASCII digits only: int() alone also takes a sign, "_" and the
-    # digits of other scripts.  One test per line keeps parsing cheap
+    # ASCII digits separated by spaces and tabs: int() alone also takes a
+    # sign, "_" and the digits of other scripts, and str.split() also
+    # splits on the other Unicode spaces, which the count below catches.
+    # One test per line keeps parsing cheap
     tokens = line.split()
     joined = "".join(tokens)
     if not (joined.isascii() and joined.isdigit()):
         bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
         raise FormatError(f"line {lineno}: {bad!r} is not an integer")
+    if len(line) - len(joined) != line.count(" ") + line.count("\t"):
+        raise FormatError(f"line {lineno}: tokens must be separated by spaces or tabs")
     return list(map(int, tokens))
 
 
@@ -111,18 +118,23 @@ def parse_text(text: str) -> ColoringDocument:
     digest: Optional[str] = None
     provenance: Optional[dict[str, Any]] = None
     data_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
+    # a line ends at "\n" only, after at most one "\r"; spaces and tabs
+    # are the only blanks, so any other character fails a test below
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [raw[:-1] if raw.endswith("\r") else raw for raw in lines]
+    for lineno, raw in enumerate(lines, start=1):
+        data = raw.strip(_BLANKS)
+        if data.startswith("#"):
+            body = data[1:].strip(_BLANKS)
             if body.startswith("digest:"):
                 if digest is not None:
                     raise FormatError(f"line {lineno}: duplicate digest comment")
-                digest = body[len("digest:") :].strip()
+                digest = body[len("digest:") :].strip(_BLANKS)
             elif body.startswith("provenance:"):
                 if provenance is not None:
                     raise FormatError(f"line {lineno}: duplicate provenance comment")
-                blob = body[len("provenance:") :].strip()
+                blob = body[len("provenance:") :].strip(_BLANKS)
                 try:
                     provenance = json.loads(blob)
                 except _JSON_ERRORS as exc:
@@ -130,7 +142,8 @@ def parse_text(text: str) -> ColoringDocument:
                 if not isinstance(provenance, dict):
                     raise FormatError(f"line {lineno}: provenance must be an object")
             continue
-        data = raw.split("#", 1)[0].strip()
+        if "#" in data:
+            data = data.split("#", 1)[0].rstrip(_BLANKS)
         if data:
             data_lines.append((lineno, data))
     if not data_lines:

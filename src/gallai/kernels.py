@@ -11,6 +11,15 @@ the detectors promise; the through-edge checks tell the search whether
 the edge (u, v) completes a copy.  `rainbow_thirds` is the one
 rainbow-triangle test: `rainbow_within` scans a mask of an
 `EdgeColoring` with it, the search probes one edge with it.
+
+`gallai_split` is the Gallai partition step on a mask: for the first
+color pair that gives two or more clusters, the `components_avoiding`
+the pair, merged by `coarsen` until every two are joined in one color.
+`rainbow_free` runs it over a worklist of masks and so decides whether
+a coloring has a rainbow triangle without looking at any triangle;
+`find_rainbow_triangle` scans with `rainbow_within` only after it
+fails, to name the triangle, and `find_gallai_partition` takes its top
+split and checks the clusters with it.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .coloring import edge_index
 
 Rows = Sequence[int]
 Slots = tuple[tuple[int, tuple[int, ...]], ...]
+Classes = list[tuple[int, Rows]]  # (color, rows), colors ascending
 
 
 def bits(x: int) -> Iterator[int]:
@@ -178,6 +188,146 @@ def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
             if cand:
                 return u, v, least(cand)
     return None
+
+
+# -- Gallai splits ------------------------------------------------------------
+
+
+def color_classes(c) -> Classes:
+    """Every used color of the `EdgeColoring` c with its rows, ascending."""
+    return [(col, c.rows(col)) for col in sorted(c.colors_used())]
+
+
+def classes_within(classes: Classes, mask: int) -> Classes:
+    """The classes that have an edge inside ``mask``, in the same order."""
+    kept = []
+    for entry in classes:
+        adj = entry[1]
+        rest = mask
+        while rest:
+            b = rest & -rest
+            if adj[b.bit_length() - 1] & mask:
+                kept.append(entry)
+                break
+            rest ^= b
+    return kept
+
+
+def components_avoiding(adj_a: Rows, adj_b: Rows, mask: int) -> list[int]:
+    """Components of ``mask`` joined by edges of neither color a nor b,
+    by least vertex; each grows one frontier mask at a time.  In a
+    complete graph the other colors join v to everything outside its a-
+    and b-rows, so the number of colors never enters."""
+    left = mask
+    comps: list[int] = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            joined = -1  # vertices that every frontier vertex sees in a or b
+            while frontier:
+                b = frontier & -frontier
+                v = b.bit_length() - 1
+                joined &= adj_a[v] | adj_b[v]
+                frontier ^= b
+            frontier = left & ~joined & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def coarsen(adj_a: Rows, adj_b: Rows, mask: int, clusters: list[int]) -> list[int]:
+    """Merge ``clusters`` (a partition of ``mask`` whose cross edges all
+    have color a or b) until every two are joined in one color.
+
+    The result is the finest such coarsening, so the order of merges does
+    not matter.  Call a coarsening good when every two of its blocks are
+    joined in one color.  The meet of two good coarsenings Q1 and Q2 is
+    good: blocks X1 & X2 and Y1 & Y2 lie inside the different blocks X1
+    and Y1 of Q1, or else inside X2 and Y2 of Q2, which are joined in one
+    color.  The one-block coarsening is good, so a finest good coarsening
+    F exists and is unique.  A merge below joins two unions of clusters
+    that are not joined in one color, so they lie inside one block of F;
+    the result refines F and is good, so it is F.
+
+    Per cluster X it keeps A and B, the vertices joined to all of X in
+    color a, resp. b, which for a merged cluster are the intersections.
+    Y is joined to X in one color iff Y lies inside A or B.  If it does
+    not, some vertex of Y lies outside X, A and B, or (a vertex of Y in A
+    and one in B) every vertex of X lies outside Y and its A and B.  So
+    the vertices outside X, A and B name every cluster X must merge with,
+    and the merged cluster is checked again; no pair of clusters is
+    tested.
+    """
+    work = []
+    for x in clusters:
+        ja = jb = mask
+        rest = x
+        while rest:
+            b = rest & -rest
+            v = b.bit_length() - 1
+            ja &= adj_a[v]
+            jb &= adj_b[v]
+            rest ^= b
+        work.append((x, ja, jb))
+    done: list[tuple[int, int, int]] = []
+    while work:
+        x, ja, jb = work.pop()
+        bad = mask & ~(x | ja | jb)
+        if not bad:
+            done.append((x, ja, jb))
+            continue
+        for group in (work, done):
+            kept = []
+            for entry in group:
+                if entry[0] & bad:
+                    x |= entry[0]
+                    ja &= entry[1]
+                    jb &= entry[2]
+                else:
+                    kept.append(entry)
+            group[:] = kept
+        work.append((x, ja, jb))
+    return [x for x, _, _ in done]
+
+
+def gallai_split(classes: Classes, mask: int) -> Optional[list[int]]:
+    """The first split of ``mask`` into two or more clusters, every two
+    joined in one color, or None.
+
+    Color pairs a < b of ``classes`` (the colors used inside the mask)
+    are tried ascending; a pair's clusters are its `components_avoiding`
+    under `coarsen`.  A triangle across clusters is never rainbow, and
+    None with three or more colors proves a rainbow triangle inside the
+    mask (Gallai's theorem; both proved at `find_gallai_partition`).
+    """
+    for i, (_, adj_a) in enumerate(classes):
+        for _, adj_b in classes[i + 1 :]:
+            comps = components_avoiding(adj_a, adj_b, mask)
+            if len(comps) >= 2:
+                clusters = coarsen(adj_a, adj_b, mask, comps)
+                if len(clusters) >= 2:
+                    return clusters
+    return None
+
+
+def rainbow_free(classes: Classes, masks: Iterable[int]) -> bool:
+    """True iff no mask of ``masks`` spans a rainbow triangle, decided by
+    `gallai_split` over a worklist: a mask with at most two colors is
+    done, a split one is replaced by its clusters, and one that does not
+    split has a rainbow triangle.  ``classes`` holds at least every color
+    used inside the masks."""
+    work = [(m, classes) for m in masks]
+    while work:
+        mask, classes = work.pop()
+        classes = classes_within(classes, mask)
+        if len(classes) < 3:
+            continue
+        split = gallai_split(classes, mask)
+        if split is None:
+            return False
+        work.extend((m, classes) for m in split)
+    return True
 
 
 # -- through-edge checks on (u, v) in its color's rows `adj` ----------------

@@ -17,11 +17,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .coloring import EdgeColoring, edge_index
+from .coloring import EdgeColoring
 from .detect import find_mono, find_rainbow_triangle
 from .errors import PreconditionError
 from .formats import _write_payload
-from .kernels import bits, least, mono_between, path3_within, rainbow_within
+from .kernels import (
+    bits,
+    color_classes,
+    gallai_split,
+    least,
+    mono_between,
+    path3_within,
+    rainbow_free,
+)
 from .patterns import PatternSpec
 
 __all__ = [
@@ -173,16 +181,13 @@ def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> Partit
     return PartitionCheck(not violations, tuple(violations))
 
 
-def _quotient(c: EdgeColoring, masks: list[int]) -> EdgeColoring:
-    # one vertex per part; every two parts must be joined in one color
-    p = len(masks)
-    colors = [0] * (p * (p - 1) // 2)
-    for i in range(p):
-        for j in range(i + 1, p):
-            col = mono_between(c, masks[i], masks[j])
-            if col is None:
-                raise AssertionError(f"parts {i} and {j} are not joined in one color")
-            colors[edge_index(p, i, j)] = col
+def _quotient(c: EdgeColoring, reps: list[int]) -> EdgeColoring:
+    # one vertex per part, named by a vertex of the part; both callers
+    # pass parts joined in one color (clusters of `coarsen`, or parts
+    # `verify_gallai_partition` accepted), so one edge per pair tells it
+    color_of = c.color_of
+    p = len(reps)
+    colors = [color_of(reps[i], reps[j]) for i in range(p) for j in range(i + 1, p)]
     return EdgeColoring(p, c.k, colors)
 
 
@@ -191,42 +196,8 @@ def _build_partition(c: EdgeColoring, clusters: list[int]) -> GallaiPartition:
         (tuple(bits(m)) for m in clusters),
         key=lambda part: (-len(part), part[0]),
     )
-    reduced = _quotient(c, [sum(1 << v for v in part) for part in parts])
+    reduced = _quotient(c, [part[0] for part in parts])
     return GallaiPartition(tuple(parts), reduced.colors_used(), reduced)
-
-
-def _components_avoiding(c: EdgeColoring, a: int, b: int) -> list[int]:
-    # connected components of the graph formed by edges NOT colored a or
-    # b, by least vertex; each grows one frontier mask at a time
-    other = [c.rows(col) for col in sorted(c.colors_used() - {a, b})]
-    left = c.vertex_mask
-    masks: list[int] = []
-    while left:
-        comp = frontier = 1 << least(left)
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                for adj in other:
-                    reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        masks.append(comp)
-        left &= ~comp
-    return masks
-
-
-def _coarsen(c: EdgeColoring, clusters: list[int]) -> list[int]:
-    # merge any two clusters not joined monochromatically; between two
-    # clusters only the two avoided colors can occur, so merging is
-    # forced and the result stays a refinement of any true partition
-    work = list(clusters)
-    while True:
-        for i, j in combinations(range(len(work)), 2):
-            if mono_between(c, work[i], work[j]) is None:
-                work[i] |= work.pop(j)
-                break
-        else:
-            return work
 
 
 def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
@@ -242,39 +213,37 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     wins, which makes the output deterministic.
 
     The partition is built first and checked for rainbow triangles
-    afterwards, inside one cluster at a time.  That is enough: after
-    deleting a and b, an edge between two clusters has color a or b,
-    and `_coarsen` leaves any two clusters joined in one color.  A
+    afterwards, inside one cluster at a time, with the same
+    `gallai_split` run over a worklist (`rainbow_free`).  That is enough:
+    after deleting a and b, an edge between two clusters has color a or
+    b, and `coarsen` leaves any two clusters joined in one color.  A
     triangle on three clusters then has only the colors a and b, and
     one with two vertices in a cluster has two edges of the same color
     to its third vertex; neither is rainbow, so the coloring has a
     rainbow triangle iff some cluster does.
 
     A coloring without one always has a pair that yields two parts, so
-    the loop below returns for it; falling through, like a rainbow
-    cluster, proves a rainbow triangle.  By Gallai's theorem (Gallai
+    it gets past the split below; no split, like a rainbow cluster,
+    proves a rainbow triangle.  By Gallai's theorem (Gallai
     1967; Gyárfás–Simonyi 2004) such a coloring has a Gallai partition
     P with at least two parts whose cross colors lie in some pair
     {a, b} of used colors (with three or more colors used, a single
     cross color can be paired with any other).  An edge of another
     color never joins two parts of P, so the components left after
     deleting a and b each lie inside one part: they refine P, and there
-    are at least two of them.  `_coarsen` only merges two clusters that
+    are at least two of them.  `coarsen` only merges two clusters that
     are not joined in one color, while clusters inside different parts
     of P always are, so every merge stays inside a part of P and at
     least two clusters remain.
     """
     if c.n < 2:
         raise ValueError("partition needs at least two vertices")
-    used = sorted(c.colors_used())
-    if len(used) <= 2:
+    classes = color_classes(c)
+    if len(classes) <= 2:
         return _build_partition(c, [1 << v for v in range(c.n)])
-    for a, b in combinations(used, 2):
-        clusters = _coarsen(c, _components_avoiding(c, a, b))
-        if len(clusters) >= 2:
-            if not any(rainbow_within(c, m) for m in clusters):
-                return _build_partition(c, clusters)
-            break
+    clusters = gallai_split(classes, c.vertex_mask)
+    if clusters is not None and rainbow_free(classes, clusters):
+        return _build_partition(c, clusters)
     rainbow = find_rainbow_triangle(c)
     raise PreconditionError(f"rainbow triangle at vertices {rainbow.vertex_map}")
 
@@ -292,7 +261,7 @@ def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
     check = verify_gallai_partition(c, raw)
     if not check.ok:
         raise ValueError("not a Gallai partition: " + "; ".join(check.violations))
-    return _quotient(c, [mask for _, mask in _normalize_parts(c, raw)])
+    return _quotient(c, [part[0] for part, _ in _normalize_parts(c, raw)])
 
 
 def peel_apex_sequence(c: EdgeColoring) -> ApexSequence:

@@ -16,7 +16,14 @@ from gallai import (
     restrict,
     wheel_from_mono_pair,
 )
-from gallai.kernels import cycle4_within, rainbow_within
+from gallai.kernels import (
+    classes_within,
+    color_classes,
+    cycle4_within,
+    gallai_split,
+    rainbow_free,
+    rainbow_within,
+)
 
 W4 = PatternSpec.wheel(4)
 P3 = PatternSpec.path3()
@@ -82,6 +89,59 @@ def test_rainbow_within_is_least_oracle_triangle_inside_mask():
             assert got == (min(inside) if inside else None)
             hits += got is not None
     assert hits > 100
+
+
+def test_rainbow_on_near_gallai_colorings(near_gallai):
+    # the decomposition must reach the defect wherever it sits, and the
+    # scan then names the least triangle
+    found = 0
+    for c, least in near_gallai:
+        hit = find_rainbow_triangle(c)
+        if least is None:
+            assert hit is None
+        else:
+            assert hit is not None and tuple(hit.vertex_map) == least
+            found += 1
+    assert 20 <= found <= len(near_gallai) - 20
+    assert all(least is not None for _, least in near_gallai[-3:])
+
+
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def test_gallai_split_decides_rainbow_inside_masks(near_gallai):
+    rng = random.Random(47)
+    cases = [c for c, _ in near_gallai if c.n <= 16]
+    cases += [oracles.arbitrary_coloring(rng.randint(3, 10), 4, t + 600) for t in range(40)]
+    seen = {"free": 0, "rainbow": 0, "unsplit": 0}
+    for c in cases:
+        every = oracles.rainbow_triangles(c)
+        for mask in _random_masks(rng, c.n):
+            inside = any(all(mask >> v & 1 for v in t) for t in every)
+            assert rainbow_free(color_classes(c), [mask]) == (not inside)
+            seen["rainbow" if inside else "free"] += 1
+            classes = classes_within(color_classes(c), mask)
+            split = gallai_split(classes, mask)
+            if split is None:
+                # with three or more colors, no split proves a rainbow triangle
+                assert len(classes) < 2 or inside
+                seen["unsplit"] += len(classes) >= 3
+                continue
+            assert len(split) >= 2 and sum(split) == mask
+            assert all(x & y == 0 for i, x in enumerate(split) for y in split[i + 1 :])
+            cross = set()
+            for i, x in enumerate(split):
+                for y in split[i + 1 :]:
+                    between = {c.color_of(u, v) for u in _members(x) for v in _members(y)}
+                    assert len(between) == 1
+                    cross |= between
+            assert len(cross) <= 2
+            in_cluster = any(
+                any(all(m >> v & 1 for v in t) for t in every) for m in split
+            )
+            assert in_cluster == inside
+    assert min(seen.values()) >= 30, seen
 
 
 def _first_cycle4(c, color, mask):

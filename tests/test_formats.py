@@ -81,6 +81,16 @@ def test_fuzz_round_trips_both_formats():
             assert back.provenance == prov
 
 
+def test_crlf_lines_and_tabs_accepted():
+    doc = parse_text("3 2\n1 2\n1\n")
+    for text in (
+        "3 2\r\n1 2\r\n1\r\n",
+        "3\t2\n\t1 \t 2  \n1\t# tail\r\n",
+        "# note\r\n3 2\n1 2\n1",
+    ):
+        assert parse_text(text) == doc
+
+
 def test_comments_and_blank_lines_tolerated():
     ok = "# note\n\n3 2\n# between\n1 2   # inline tail dropped\n\n1\n"
     doc = parse_text(ok)
@@ -117,6 +127,20 @@ def test_comments_and_blank_lines_tolerated():
         "3 2\n+1 2\n1\n",
         "3 2\n1 \u0662\n1\n",  # Arabic-Indic digit two
         "3 2\n1 2\n\uff11\n",  # fullwidth digit one
+        # lines end with "\n" (after at most one "\r") and tokens are
+        # separated by spaces and tabs; str.splitlines() and str.split()
+        # would break on each of these
+        "3 2\x0c1 2\n1\n",  # form feed
+        "3 2\x1c1 2\n1\n",  # file separator
+        "3\x1f2\n1 2\n1\n",  # unit separator
+        "3\x0b2\n1 2\n1\n",  # vertical tab
+        "3\u20032\n1 2\n1\n",  # em space
+        "3\xa02\n1 2\n1\n",  # no-break space
+        "3 2\x851 2\n1\n",  # next line (NEL)
+        "3 2\u20281 2\n1\n",  # line separator
+        "3 2\r1 2\n1\n",  # a lone carriage return
+        "3 2\r\r\n1 2\n1\n",  # two before one newline
+        "3 2\n1\xa0 2\n1\n",  # beside an ASCII space
     ],
 )
 def test_malformed_text_rejected(text):

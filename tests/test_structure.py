@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,13 @@ from gallai import (
     substitute,
     verify_gallai_partition,
 )
-from gallai.structure import _coarsen, _components_avoiding
+from gallai.kernels import (
+    classes_within,
+    coarsen,
+    color_classes,
+    components_avoiding,
+    gallai_split,
+)
 
 W4 = PatternSpec.wheel(4)
 
@@ -129,16 +136,6 @@ def _members(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _first_split(c):
-    # clusters of the first color pair that yields two, as the partition
-    # tries them; None when no pair does
-    for a, b in combinations(sorted(c.colors_used()), 2):
-        clusters = _coarsen(c, _components_avoiding(c, a, b))
-        if len(clusters) >= 2:
-            return clusters
-    return None
-
-
 def test_find_partition_precondition_on_both_routes():
     rng = random.Random(808)
     triangle = EdgeColoring(3, 3, [1, 2, 3])
@@ -157,7 +154,7 @@ def test_find_partition_precondition_on_both_routes():
     for c in cases:
         if find_rainbow_triangle(c) is None:
             continue
-        split = _first_split(c)
+        split = gallai_split(color_classes(c), c.vertex_mask)
         if split is None:
             routes["no split"] += 1
         else:
@@ -168,6 +165,111 @@ def test_find_partition_precondition_on_both_routes():
         want = f"rainbow triangle at vertices {find_rainbow_triangle(c).vertex_map}"
         assert str(exc.value) == want
     assert min(routes.values()) >= 10, routes
+
+
+def test_find_partition_on_near_gallai_colorings(near_gallai):
+    routes = {"valid": 0, "rainbow cluster": 0, "no split": 0}
+    for c, least in near_gallai:
+        if least is None:
+            assert verify_gallai_partition(c, find_gallai_partition(c)).ok
+            routes["valid"] += 1
+            continue
+        with pytest.raises(PreconditionError) as exc:
+            find_gallai_partition(c)
+        assert str(exc.value) == f"rainbow triangle at vertices {least}"
+        split = gallai_split(color_classes(c), c.vertex_mask)
+        routes["no split" if split is None else "rainbow cluster"] += 1
+    assert min(routes.values()) >= 10, routes
+
+
+def _coarsen_all_pairs(c, clusters):
+    # the former all-pairs coarsening: merge the first two clusters not
+    # joined in one color, then start again from the first pair
+    work = list(clusters)
+    while True:
+        for i, j in combinations(range(len(work)), 2):
+            pairs = [(u, v) for u in _members(work[i]) for v in _members(work[j])]
+            if len({c.color_of(u, v) for u, v in pairs}) > 1:
+                work[i] |= work.pop(j)
+                break
+        else:
+            return work
+
+
+def _components_brute(c, a, b, mask):
+    # components of the mask under edges colored neither a nor b
+    comps = []
+    left = set(_members(mask))
+    while left:
+        comp, todo = set(), [min(left)]
+        while todo:
+            u = todo.pop()
+            if u not in comp:
+                comp.add(u)
+                todo += [v for v in left - comp if c.color_of(u, v) not in (a, b)]
+        comps.append(sum(1 << v for v in comp))
+        left -= comp
+    return comps
+
+
+def test_coarsen_matches_all_pairs_oracle():
+    rng = random.Random(5150)
+    cases = [random_gallai(rng.randint(2, 14), rng.randint(2, 5), t + 61_000) for t in range(40)]
+    cases += [oracles.arbitrary_coloring(rng.randint(2, 10), rng.randint(3, 5), t + 62_000) for t in range(40)]
+    merged = many = 0
+    for c in cases:
+        used = sorted(c.colors_used())
+        for a, b in combinations(used, 2):
+            for trial in range(4):
+                mask = c.vertex_mask if trial == 0 else rng.getrandbits(c.n) or 1
+                comps = components_avoiding(c.rows(a), c.rows(b), mask)
+                assert comps == _components_brute(c, a, b, mask)
+                got = coarsen(c.rows(a), c.rows(b), mask, comps)
+                want = _coarsen_all_pairs(c, comps)
+                assert sorted(got) == sorted(want)
+                merged += len(got) < len(comps)
+                many += len(got) >= 4
+    assert merged >= 100 and many >= 100, (merged, many)
+
+
+def _chain(n):
+    # color(i, j) = 1 + i mod 3 for i < j: each Gallai split peels off a
+    # vertex or two, so the splits nest about 2n/3 deep
+    return EdgeColoring(n, 3, [1 + i % 3 for i in range(n) for _ in range(i + 1, n)])
+
+
+def _split_depth(c):
+    deepest = 0
+    work = [(c.vertex_mask, 0)]
+    while work:
+        mask, depth = work.pop()
+        deepest = max(deepest, depth)
+        classes = classes_within(color_classes(c), mask)
+        if len(classes) >= 3:
+            work += [(m, depth + 1) for m in gallai_split(classes, mask)]
+    return deepest
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_decomposition_runs_without_recursion():
+    c = _chain(150)
+    margin = 40
+    assert _split_depth(c) > 2 * margin
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + margin)
+    try:
+        hit = find_rainbow_triangle(c)
+        part = find_gallai_partition(c)
+    finally:
+        sys.setrecursionlimit(old)
+    assert hit is None
+    assert verify_gallai_partition(c, part).ok
 
 
 def test_find_partition_fuzz_valid_and_narrow():
