@@ -36,6 +36,15 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
+def integer(text: str) -> int:
+    """An integer in ASCII digits with an optional leading ``-``; `int`
+    alone also takes ``+``, ``_``, spaces and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_pattern(token: str) -> PatternSpec:
     """Pattern names accepted on the command line.
 
@@ -52,9 +61,9 @@ def parse_pattern(token: str) -> PatternSpec:
     if t == "k3":
         return PatternSpec.clique(3)
     if t.startswith("kt:"):
-        return PatternSpec.clique(int(t[3:]))
+        return PatternSpec.clique(integer(t[3:]))
     if t.startswith("wheel:"):
-        return PatternSpec.wheel(int(t[6:]))
+        return PatternSpec.wheel(integer(t[6:]))
     if t.startswith("explicit:"):
         raw = json.loads(Path(t[len("explicit:") :]).read_text(encoding="ascii"))
         if not isinstance(raw, dict):
@@ -161,7 +170,7 @@ def _task_from_args(args) -> SearchTask:
     for token in args.pattern or ():
         if "@" in token:
             name, _, col = token.rpartition("@")
-            forbidden.append((parse_pattern(name), int(col)))
+            forbidden.append((parse_pattern(name), integer(col)))
         else:
             forbidden.append((parse_pattern(token), None))
     return SearchTask(
@@ -237,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("construct", help="build a recursive lower-bound witness")
-    sp.add_argument("--k", type=int, required=True, help="number of colors (>= 2)")
+    sp.add_argument("--k", type=integer, required=True, help="number of colors (>= 2)")
     sp.add_argument("--base", help="base 2-coloring file (default: bundled base14)")
-    sp.add_argument("--rim", type=int, default=4, help="even wheel rim length")
+    sp.add_argument("--rim", type=integer, default=4, help="even wheel rim length")
     sp.add_argument("--label", help="label for the base in the trace")
     sp.add_argument("--out", help="output file (default: stdout)")
     sp.add_argument("--format", choices=("grc", "json"))
@@ -248,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a coloring against properties")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--pattern", help="monochromatic pattern to reject (e.g. w4)")
-    sp.add_argument("--color", type=int, help="restrict the pattern to one color")
+    sp.add_argument("--color", type=integer, help="restrict the pattern to one color")
     sp.add_argument(
         "--gallai", action="store_true", help="also reject rainbow triangles"
     )
@@ -268,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="search for a constraint-satisfying coloring")
     sp.add_argument("--task", help="task JSON file (overrides the flags below)")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--n", type=integer)
+    sp.add_argument("--k", type=integer)
     sp.add_argument(
         "--pattern",
         action="append",
@@ -279,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--symmetry", choices=("none", "colorSwap", "vertexOrder"), default="colorSwap"
     )
-    sp.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--node-limit", type=integer, default=DEFAULT_NODE_LIMIT)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument(
         "--threads",
-        type=int,
+        type=integer,
         default=1,
         help="accepted for compatibility; the engine is single-threaded and "
         "results do not depend on this value",
@@ -293,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("random", help="sample a rainbow-triangle-free coloring")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=integer, required=True)
+    sp.add_argument("--k", type=integer, required=True)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--out", help="output file (default: stdout)")
     sp.add_argument("--format", choices=("grc", "json"))
     sp.set_defaults(func=cmd_random)

@@ -162,22 +162,14 @@ def join(c1: EdgeColoring, c2: EdgeColoring, fresh_color: int) -> EdgeColoring:
 
     The second operand is shifted up by c1.n.  ``fresh_color`` must not
     occur in either operand; reusing a color would merge structure
-    across the two halves and is rejected.
+    across the two halves and is rejected.  This is `substitute` of
+    (c1, c2) into the two-vertex quotient colored ``fresh_color``.
     """
     if fresh_color < 1:
         raise ValueError(f"colors are positive, got {fresh_color}")
     if fresh_color in c1.colors_used() or fresh_color in c2.colors_used():
         raise ValueError(f"color {fresh_color} already used by an operand")
-    n1, n2 = c1.n, c2.n
-    n = n1 + n2
-    k = max(c1.k, c2.k, fresh_color)
-    out = []
-    for u in range(n1):
-        for v in range(u + 1, n1):
-            out.append(c1.color_of(u, v))
-        out.extend([fresh_color] * n2)
-    out.extend(c2.edge_colors)
-    return EdgeColoring(n, k, out)
+    return substitute(EdgeColoring(2, fresh_color, (fresh_color,)), (c1, c2))
 
 
 def substitute(
@@ -201,25 +193,21 @@ def substitute(
             shared = cross & part.colors_used()
             if shared:
                 raise ValueError(f"part {i} reuses quotient colors {sorted(shared)}")
-    sizes = [part.n for part in parts]
-    offsets = [0] * p
-    for i in range(1, p):
-        offsets[i] = offsets[i - 1] + sizes[i - 1]
-    n = offsets[-1] + sizes[-1]
     k = max(quotient.k, max(part.k for part in parts))
-    out = [0] * (n * (n - 1) // 2)
+    qcolors = iter(quotient.edge_colors)  # row-major: (i, j) for j > i in turn
+    out: list[int] = []
     for i, part in enumerate(parts):
-        base = offsets[i]
-        for u, v, c in part.edges():
-            out[edge_index(n, base + u, base + v)] = c
-    for i in range(p):
-        for j in range(i + 1, p):
-            c = quotient.color_of(i, j)
-            for u in range(offsets[i], offsets[i] + sizes[i]):
-                row = edge_index(n, u, offsets[j])
-                for t in range(sizes[j]):
-                    out[row + t] = c
-    return EdgeColoring(n, k, out)
+        # each output row: a slice of its part's row, then this cross tail
+        tail: list[int] = []
+        for later in parts[i + 1 :]:
+            tail += [next(qcolors)] * later.n
+        colors = part.edge_colors
+        start = 0
+        for width in range(part.n - 1, -1, -1):  # row u holds part.n-1-u edges
+            out += colors[start : start + width]
+            out += tail
+            start += width
+    return EdgeColoring(sum(part.n for part in parts), k, out)
 
 
 def recolor(

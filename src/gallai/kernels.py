@@ -11,6 +11,10 @@ the detectors promise; the through-edge checks tell the search whether
 the edge (u, v) completes a copy.  `rainbow_thirds` is the one
 rainbow-triangle test: `rainbow_within` scans a mask of an
 `EdgeColoring` with it, the search probes one edge with it.
+`joined_to_all`, the AND of a mask's rows, is the one "joined in one
+color" test: `mono_between` is built on it, `coarsen` keeps each
+cluster's two masks with it, `structure` tests the pairs of parts in
+`verify_gallai_partition` and the groups of `cross_color_profile`.
 
 `gallai_split` is the Gallai partition step on a mask: for the first
 color pair that gives two or more clusters, the `components_avoiding`
@@ -144,15 +148,22 @@ def embed(
     return False
 
 
+def joined_to_all(adj: Rows, xmask: int) -> int:
+    """The vertices joined to every vertex of ``xmask`` in the color whose
+    rows are ``adj``: the AND of those rows (-1 for an empty mask)."""
+    joined = -1
+    while xmask:
+        b = xmask & -xmask
+        joined &= adj[b.bit_length() - 1]
+        xmask ^= b
+    return joined
+
+
 def mono_between(c, xmask: int, ymask: int) -> Optional[int]:
     """The one color joining every vertex of ``xmask`` to every vertex of
     ``ymask`` (disjoint, nonempty) in the `EdgeColoring` c, or None."""
     color = c.color_of(least(xmask), least(ymask))
-    adj = c.rows(color)
-    for a in bits(xmask):
-        if ymask & ~adj[a]:
-            return None
-    return color
+    return None if ymask & ~joined_to_all(c.rows(color), xmask) else color
 
 
 def rainbow_thirds(classes: Iterable[Rows], adj: Rows, u: int, v: int, cand: int) -> int:
@@ -259,17 +270,10 @@ def coarsen(adj_a: Rows, adj_b: Rows, mask: int, clusters: list[int]) -> list[in
     and the merged cluster is checked again; no pair of clusters is
     tested.
     """
-    work = []
-    for x in clusters:
-        ja = jb = mask
-        rest = x
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            ja &= adj_a[v]
-            jb &= adj_b[v]
-            rest ^= b
-        work.append((x, ja, jb))
+    work = [
+        (x, mask & joined_to_all(adj_a, x), mask & joined_to_all(adj_b, x))
+        for x in clusters
+    ]
     done: list[tuple[int, int, int]] = []
     while work:
         x, ja, jb = work.pop()

@@ -14,18 +14,17 @@ joined to everything below them in a single color.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .coloring import EdgeColoring
-from .detect import find_mono, find_rainbow_triangle
+from .detect import _mask_of, find_mono, find_rainbow_triangle
 from .errors import PreconditionError
 from .formats import _write_payload
 from .kernels import (
     bits,
     color_classes,
     gallai_split,
-    least,
+    joined_to_all,
     mono_between,
     path3_within,
     rainbow_free,
@@ -98,37 +97,53 @@ class ApexSequence:
 PartitionLike = Union[GallaiPartition, Sequence[Iterable[int]]]
 
 
-def _normalize_parts(c: EdgeColoring, parts_in: Sequence[Iterable[int]]):
+def _normalize_parts(c: EdgeColoring, partition: PartitionLike):
+    if isinstance(partition, GallaiPartition):
+        partition = partition.parts
     parts = []
     seen = 0
-    for idx, raw in enumerate(parts_in):
-        part = sorted(set(raw))
-        if not part:
-            raise ValueError(f"part {idx} is empty")
-        mask = 0
-        for v in part:
-            if not 0 <= v < c.n:
-                raise ValueError(f"part {idx} contains vertex {v}, out of range")
-            mask |= 1 << v
+    for idx, raw in enumerate(partition):
+        mask = _mask_of(c, raw, f"part {idx}")
         if mask & seen:
             raise ValueError(f"part {idx} overlaps an earlier part")
         seen |= mask
-        parts.append((tuple(part), mask))
+        parts.append((tuple(bits(mask)), mask))
     # an empty partition fails here too: n >= 1, so the mask is nonzero
     if seen != c.vertex_mask:
         raise ValueError("parts do not cover every vertex")
     return parts
 
 
-def _colors_between(c: EdgeColoring, xs: tuple[int, ...], ymask: int) -> set[int]:
-    found: set[int] = set()
-    for a in xs:
-        rest = ymask
-        while rest:
-            col = c.color_of(a, least(rest))
-            found.add(col)
-            rest &= ~c.neighbors(col, a)
-    return found
+def _check_pairs(c: EdgeColoring, parts):
+    # (violations, cross colors, {(i, j): color} of the pairs joined in one
+    # color): one edge names the color, part j must lie in what all of
+    # part i is joined to in it; the full color set is read only to report
+    color_of = c.color_of
+    violations: list[str] = []
+    cross: set[int] = set()
+    pair_color: dict[tuple[int, int], int] = {}
+    for i, (xs, xmask) in enumerate(parts):
+        joined: dict[int, int] = {}  # color -> joined_to_all of part i in it
+        for j in range(i + 1, len(parts)):
+            ys, ymask = parts[j]
+            col = color_of(xs[0], ys[0])
+            to_all = joined.get(col)
+            if to_all is None:
+                to_all = joined[col] = joined_to_all(c.rows(col), xmask)
+            if ymask & ~to_all:
+                between = sorted({color_of(a, b) for a in xs for b in ys})
+                cross.update(between)
+                violations.append(
+                    f"parts {i} and {j} are joined in colors {between}"
+                )
+            else:
+                cross.add(col)
+                pair_color[(i, j)] = col
+    if len(cross) > 2:
+        violations.append(
+            f"{len(cross)} colors appear between parts ({sorted(cross)}), at most 2 allowed"
+        )
+    return violations, cross, pair_color
 
 
 def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> PartitionCheck:
@@ -139,36 +154,15 @@ def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> Partit
     :class:`GallaiPartition` is given) reduced-graph or cross-color
     fields that disagree with the coloring.
     """
-    expected: Optional[GallaiPartition] = None
+    parts = _normalize_parts(c, partition)
+    violations, cross, pair_color = _check_pairs(c, parts)
     if isinstance(partition, GallaiPartition):
-        expected = partition
-        raw: Sequence[Iterable[int]] = partition.parts
-    else:
-        raw = partition
-    parts = _normalize_parts(c, raw)
-    violations: list[str] = []
-    cross: set[int] = set()
-    pair_color: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(len(parts)), 2):
-        between = _colors_between(c, parts[i][0], parts[j][1])
-        cross |= between
-        if len(between) > 1:
+        if partition.cross_colors != frozenset(cross):
             violations.append(
-                f"parts {i} and {j} are joined in colors {sorted(between)}"
-            )
-        else:
-            pair_color[(i, j)] = next(iter(between))
-    if len(cross) > 2:
-        violations.append(
-            f"{len(cross)} colors appear between parts ({sorted(cross)}), at most 2 allowed"
-        )
-    if expected is not None:
-        if expected.cross_colors != frozenset(cross):
-            violations.append(
-                f"claimed cross colors {sorted(expected.cross_colors)} "
+                f"claimed cross colors {sorted(partition.cross_colors)} "
                 f"but found {sorted(cross)}"
             )
-        red = expected.reduced
+        red = partition.reduced
         if red.n != len(parts):
             violations.append(f"reduced graph has {red.n} vertices for {len(parts)} parts")
         else:
@@ -181,22 +175,16 @@ def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> Partit
     return PartitionCheck(not violations, tuple(violations))
 
 
-def _quotient(c: EdgeColoring, reps: list[int]) -> EdgeColoring:
-    # one vertex per part, named by a vertex of the part; both callers
-    # pass parts joined in one color (clusters of `coarsen`, or parts
-    # `verify_gallai_partition` accepted), so one edge per pair tells it
-    color_of = c.color_of
-    p = len(reps)
-    colors = [color_of(reps[i], reps[j]) for i in range(p) for j in range(i + 1, p)]
-    return EdgeColoring(p, c.k, colors)
-
-
 def _build_partition(c: EdgeColoring, clusters: list[int]) -> GallaiPartition:
+    # clusters are joined pairwise in one color, so one edge per pair
+    # names the reduced coloring
     parts = sorted(
         (tuple(bits(m)) for m in clusters),
         key=lambda part: (-len(part), part[0]),
     )
-    reduced = _quotient(c, [part[0] for part in parts])
+    reps = [part[0] for part in parts]
+    colors = [c.color_of(a, b) for i, a in enumerate(reps) for b in reps[i + 1 :]]
+    reduced = EdgeColoring(len(reps), c.k, colors)
     return GallaiPartition(tuple(parts), reduced.colors_used(), reduced)
 
 
@@ -254,14 +242,12 @@ def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
     Part i of the partition becomes vertex i.  The partition must be a
     valid Gallai partition of ``c``; otherwise ValueError.
     """
-    if isinstance(partition, GallaiPartition):
-        raw: Sequence[Iterable[int]] = partition.parts
-    else:
-        raw = partition
-    check = verify_gallai_partition(c, raw)
-    if not check.ok:
-        raise ValueError("not a Gallai partition: " + "; ".join(check.violations))
-    return _quotient(c, [part[0] for part, _ in _normalize_parts(c, raw)])
+    parts = _normalize_parts(c, partition)
+    violations, _, pair_color = _check_pairs(c, parts)
+    if violations:
+        raise ValueError("not a Gallai partition: " + "; ".join(violations))
+    # every pair is joined in one color, in row-major order
+    return EdgeColoring(len(parts), c.k, list(pair_color.values()))
 
 
 def peel_apex_sequence(c: EdgeColoring) -> ApexSequence:
@@ -303,7 +289,7 @@ def check_apex_color_distinctness(c: EdgeColoring, seq: ApexSequence) -> bool:
         if not 0 <= x < c.n or not remaining & (1 << x):
             raise ValueError(f"apex sequence repeats or misplaces vertex {x}")
         remaining &= ~(1 << x)
-        if remaining & ~c.neighbors(col, x):
+        if remaining & ~c.rows(col)[x]:
             raise ValueError(
                 f"vertex {x} is not joined to the remainder in color {col}"
             )
@@ -333,21 +319,8 @@ def cross_color_profile(
     red, blue = colors
     if red == blue or red < 1 or blue < 1:
         raise ValueError(f"need two distinct positive colors, got {colors}")
-    gmask = 0
-    for v in group:
-        if not 0 <= v < c.n:
-            raise ValueError(f"group vertex {v} out of range")
-        gmask |= 1 << v
-    if gmask == 0:
-        raise ValueError("group must be nonempty")
-    blue_side: list[int] = []
-    red_side: list[int] = []
-    other: list[int] = []
-    for v in bits(c.vertex_mask & ~gmask):
-        if gmask & ~c.neighbors(blue, v) == 0:
-            blue_side.append(v)
-        elif gmask & ~c.neighbors(red, v) == 0:
-            red_side.append(v)
-        else:
-            other.append(v)
-    return tuple(blue_side), tuple(red_side), tuple(other)
+    gmask = _mask_of(c, group, "group")
+    blue_side = joined_to_all(c.rows(blue), gmask)
+    red_side = joined_to_all(c.rows(red), gmask)
+    other = c.vertex_mask & ~(gmask | blue_side | red_side)
+    return tuple(bits(blue_side)), tuple(bits(red_side)), tuple(bits(other))

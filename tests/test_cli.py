@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from gallai import (
     ColoringDocument,
@@ -322,3 +323,25 @@ def test_unknown_pattern_token(tmp_path, capsys):
     path = save(tmp_path, "k6.grc", mono_k6())
     code, _, err = run(capsys, "verify", "--in", path, "--pattern", "k9q")
     assert code == 2 and "unknown pattern" in err
+
+
+def test_integers_are_ascii_digits_only(tmp_path, capsys):
+    # int() alone takes a sign, "_", spaces and other scripts' digits
+    path = save(tmp_path, "k6.grc", mono_k6())
+    for token in ("kt:+3", "kt:0_4", "wheel: 4", "wheel:\u0664", "kt:\uff13"):
+        code, _, err = run(capsys, "verify", "--in", path, "--pattern", token)
+        assert code == 2 and "not an integer" in err and "Traceback" not in err
+    code, _, err = run(capsys, "search", "--n", "5", "--k", "2", "--pattern", "k3@+1")
+    assert code == 2 and "not an integer" in err and "Traceback" not in err
+    for argv in (
+        ("search", "--n", "1_5", "--k", "2"),
+        ("search", "--n", "15", "--k", "+2"),
+        ("verify", "--in", path, "--color", "\u0663"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "invalid integer value" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "random", "--n", "6", "--k", "3", "--seed", "-1")
+    assert code == 0 and '"seed":-1' in out

@@ -160,6 +160,11 @@ def test_substitute_singleton_parts_is_identity(pentagon):
     assert substitute(pentagon, parts) == pentagon
 
 
+@given(colorings())
+def test_substitute_into_one_vertex_is_identity(c):
+    assert substitute(EdgeColoring(1, c.k, ()), [c]) == c
+
+
 def test_substitute_matches_join(pentagon):
     quotient = EdgeColoring(2, 3, [3])
     assert substitute(quotient, [pentagon, pentagon]) == join(pentagon, pentagon, 3)

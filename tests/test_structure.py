@@ -9,6 +9,7 @@ from gallai import (
     ApexSequence,
     EdgeColoring,
     GallaiPartition,
+    PartitionCheck,
     PatternSpec,
     PreconditionError,
     build_lower_bound_witness,
@@ -35,6 +36,8 @@ from gallai.kernels import (
     color_classes,
     components_avoiding,
     gallai_split,
+    joined_to_all,
+    least,
 )
 
 W4 = PatternSpec.wheel(4)
@@ -396,3 +399,165 @@ def test_cross_color_profile_validation(pentagon):
         cross_color_profile(pentagon, [0], (2, 2))
     with pytest.raises(ValueError):
         cross_color_profile(pentagon, [9], (1, 2))
+
+
+# -- the joined_to_all checks against color_of references --------------------
+
+
+def _old_colors_between(c, xs, ymask):
+    found = set()
+    for a in xs:
+        rest = ymask
+        while rest:
+            col = c.color_of(a, least(rest))
+            found.add(col)
+            rest &= ~c.neighbors(col, a)
+    return found
+
+
+def _old_verify(c, partition):
+    # reference for verify_gallai_partition on well-formed partitions: every
+    # color between two parts, found vertex by vertex with color_of
+    expected = partition if isinstance(partition, GallaiPartition) else None
+    raw = partition.parts if expected is not None else partition
+    parts = [(tuple(sorted(set(p))), sum(1 << v for v in set(p))) for p in raw]
+    violations = []
+    cross = set()
+    pair_color = {}
+    for i, j in combinations(range(len(parts)), 2):
+        between = _old_colors_between(c, parts[i][0], parts[j][1])
+        cross |= between
+        if len(between) > 1:
+            violations.append(f"parts {i} and {j} are joined in colors {sorted(between)}")
+        else:
+            pair_color[(i, j)] = next(iter(between))
+    if len(cross) > 2:
+        violations.append(
+            f"{len(cross)} colors appear between parts ({sorted(cross)}), at most 2 allowed"
+        )
+    if expected is not None:
+        if expected.cross_colors != frozenset(cross):
+            violations.append(
+                f"claimed cross colors {sorted(expected.cross_colors)} "
+                f"but found {sorted(cross)}"
+            )
+        red = expected.reduced
+        if red.n != len(parts):
+            violations.append(f"reduced graph has {red.n} vertices for {len(parts)} parts")
+        else:
+            for (i, j), col in pair_color.items():
+                if red.color_of(i, j) != col:
+                    violations.append(
+                        f"reduced edge ({i},{j}) is color {red.color_of(i, j)}, "
+                        f"parts are joined in {col}"
+                    )
+    return PartitionCheck(not violations, tuple(violations))
+
+
+def _random_coloring(rng, n, k):
+    return EdgeColoring(n, k, [rng.randint(1, k) for _ in range(n * (n - 1) // 2)])
+
+
+def _random_partition(rng, n):
+    # 1..n nonempty parts in random order, each vertex list shuffled
+    p = rng.randint(1, n)
+    vs = list(range(n))
+    rng.shuffle(vs)
+    parts = [[v] for v in vs[:p]]
+    for v in vs[p:]:
+        rng.choice(parts).append(v)
+    for part in parts:
+        rng.shuffle(part)
+    return parts
+
+
+def _blowup(rng, k):
+    # a 2-colored quotient blown up: its blocks are a valid partition
+    p = rng.randint(2, 6)
+    quotient = _random_coloring(rng, p, 2)
+    sizes = [rng.randint(1, 5) for _ in range(p)]
+    parts = [random_gallai(size, k, rng.randrange(10**6)) for size in sizes]
+    blocks, start = [], 0
+    for part in parts:
+        blocks.append(list(range(start, start + part.n)))
+        start += part.n
+    return substitute(quotient, parts), blocks
+
+
+def _partition_cases():
+    rng = random.Random(2026)
+    cases = []
+    for trial in range(80):
+        n, k = rng.randint(1, 30), rng.randint(1, 5)
+        for c in (random_gallai(n, k, trial + 60_000), _random_coloring(rng, n, k)):
+            cases.append((c, _random_partition(rng, n)))
+    for trial in range(40):
+        c, blocks = _blowup(rng, rng.randint(1, 4))
+        cases.append((c, blocks))
+        v = rng.randrange(c.n)  # one vertex moved to another block
+        moved = [[u for u in b if u != v] for b in blocks]
+        rng.choice(moved).append(v)
+        cases.append((c, [b for b in moved if b]))
+    for trial in range(40):
+        c = random_gallai(rng.randint(2, 30), rng.randint(1, 5), trial + 61_000)
+        part = find_gallai_partition(c)
+        cases.append((c, part))
+        cases.append((c, part.parts))
+        cross = set(part.cross_colors) ^ {rng.randint(1, c.k + 1)}
+        cases.append((c, GallaiPartition(part.parts, frozenset(cross), part.reduced)))
+        if part.p >= 2:
+            i, j = sorted(rng.sample(range(part.p), 2))
+            old = part.reduced.color_of(i, j)
+            wrong = recolor(part.reduced, {old: old % c.k + 1}, c.k)
+            cases.append((c, GallaiPartition(part.parts, part.cross_colors, wrong)))
+        wrong = EdgeColoring(part.p + 1, c.k, [1] * ((part.p + 1) * part.p // 2))
+        cases.append((c, GallaiPartition(part.parts, part.cross_colors, wrong)))
+    return cases
+
+
+def test_verify_matches_old_checker_and_reduced_graph_contracts():
+    cases = _partition_cases()
+    assert len(cases) >= 200
+    outcomes = set()
+    for c, partition in cases:
+        check = verify_gallai_partition(c, partition)
+        assert check == _old_verify(c, partition)
+        outcomes.add(check.ok)
+        if isinstance(partition, GallaiPartition):
+            continue
+        reps = [min(part) for part in partition]
+        if _old_verify(c, partition).ok:
+            want = [c.color_of(a, b) for a, b in combinations(reps, 2)]
+            assert reduced_graph(c, partition) == EdgeColoring(len(reps), c.k, want)
+        else:
+            with pytest.raises(ValueError):
+                reduced_graph(c, partition)
+    assert outcomes == {True, False}
+
+
+def test_joined_to_all_and_cross_profile_match_color_of_loops():
+    rng = random.Random(2027)
+    for trial in range(150):
+        n, k = rng.randint(1, 20), rng.randint(1, 4)
+        if trial % 2:
+            c = random_gallai(n, k, trial + 62_000)
+        else:
+            c = _random_coloring(rng, n, k)
+        group = rng.sample(range(n), rng.randint(0, n))
+        gmask = sum(1 << v for v in group)
+        for col in range(1, k + 2):
+            joined = [
+                v for v in range(n)
+                if v not in group and all(c.color_of(v, g) == col for g in group)
+            ]
+            got = joined_to_all(c.rows(col), gmask)
+            assert got == (-1 if not group else sum(1 << v for v in joined))
+        if not group:
+            continue
+        red, blue = rng.sample(range(1, k + 2), 2)
+        sides = ([], [], [])
+        for v in range(n):
+            if v not in group:
+                cols = {c.color_of(v, g) for g in group}
+                sides[0 if cols == {blue} else 1 if cols == {red} else 2].append(v)
+        assert cross_color_profile(c, group, (red, blue)) == tuple(map(tuple, sides))

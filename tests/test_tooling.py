@@ -55,3 +55,45 @@ def test_library_leaves_process_global_state_alone():
         for lineno, call in process_global_calls(path)
     ]
     assert not found, found
+
+
+def module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def used_names(tree: ast.Module):
+    # a load, an attribute, a from-import or an __all__ entry
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def test_every_module_level_name_is_used():
+    # a helper left behind by a refactor fails here
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in used_names(tree)}
+    dead = [
+        f"{file}:{lineno}: {name}"
+        for file, tree in trees.items()
+        for lineno, name in module_level_names(tree)
+        if name not in used and not name.startswith("__")
+    ]
+    assert not dead, dead
