@@ -51,7 +51,9 @@ def parse_pattern(token: str) -> PatternSpec:
     ``w4``, ``p3``, ``c4``, ``k3``, ``kt:N``, ``wheel:M``, or
     ``explicit:FILE`` where FILE is JSON {"order": int, "edges": [[u, v], ...]}.
     """
-    t = token.strip()
+    # spaces and tabs only, the .grc blanks: str.strip() would also drop
+    # Unicode spaces and the separators \x1c-\x1f
+    t = token.strip(" \t")
     if t == "w4":
         return PatternSpec.wheel(4)
     if t == "p3":

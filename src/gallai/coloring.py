@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .errors import exact_int
+
 __all__ = [
     "EdgeColoring",
     "edge_index",
@@ -45,39 +47,60 @@ class EdgeColoring:
 
     Per-color adjacency is exposed as vertex bitmasks, one vertex at a
     time via `neighbors` or one color at a time via `rows`, which is
-    what every detector in this package is built on.
+    what every detector in this package is built on.  The constructor
+    checks every color; the rows are built on the first call to
+    `neighbors`, `rows` or `colors_used` and kept.
     """
 
-    __slots__ = ("n", "k", "_colors", "_masks")
+    __slots__ = ("n", "k", "_colors", "_masks", "_digest")
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
-        if n < 1:
+        # ints proper: the checks below would let a float n or k through
+        if exact_int(n, "n") < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
-        if k < 1:
+        if exact_int(k, "k") < 1:
             raise ValueError(f"palette must have at least one color, got k={k}")
         m = n * (n - 1) // 2
         colors = tuple(colors)
         if len(colors) != m:
             raise ValueError(f"expected {m} edge colors for n={n}, got {len(colors)}")
-        masks: dict[int, list[int]] = {}
-        i = 0
-        for u in range(n):
-            bit_u = 1 << u
-            for v in range(u + 1, n):
-                c = colors[i]
-                i += 1
-                # type before range; bool is an int subclass, not a color
-                if type(c) is not int or not 1 <= c <= k:
-                    raise ValueError(f"edge ({u},{v}) has color {c!r}, not in 1..{k}")
-                row = masks.get(c)
-                if row is None:
-                    row = masks[c] = [0] * n
-                row[u] |= 1 << v
-                row[v] |= bit_u
         self.n = n
         self.k = k
         self._colors = colors
-        self._masks = {c: tuple(row) for c, row in masks.items()}
+        # built on first use and kept: the colour -> rows map and the digest
+        self._masks: dict[int, tuple[int, ...]] | None = None
+        self._digest: str | None = None
+        # type before range: bool is an int subclass, not a color, and
+        # min/max over mixed types would raise TypeError; the edge scan
+        # runs only to name the first offending edge
+        if colors and (
+            set(map(type, colors)) != {int} or min(colors) < 1 or max(colors) > k
+        ):
+            u, v, c = next(
+                (u, v, c)
+                for u, v, c in self.edges()
+                if type(c) is not int or not 1 <= c <= k
+            )
+            raise ValueError(f"edge ({u},{v}) has color {c!r}, not in 1..{k}")
+
+    def _rows_by_color(self) -> dict[int, tuple[int, ...]]:
+        if self._masks is None:
+            n = self.n
+            colors = self._colors
+            masks: dict[int, list[int]] = {}
+            i = 0
+            for u in range(n):
+                bit_u = 1 << u
+                for v in range(u + 1, n):
+                    c = colors[i]
+                    i += 1
+                    row = masks.get(c)
+                    if row is None:
+                        row = masks[c] = [0] * n
+                    row[u] |= 1 << v
+                    row[v] |= bit_u
+            self._masks = {c: tuple(row) for c, row in masks.items()}
+        return self._masks
 
     # -- basic queries -------------------------------------------------
 
@@ -94,17 +117,17 @@ class EdgeColoring:
         """Bitmask of vertices joined to v by an edge of the given color."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        row = self._masks.get(color)
+        row = self._rows_by_color().get(color)
         return row[v] if row is not None else 0
 
     def rows(self, color: int) -> tuple[int, ...]:
         """``neighbors(color, v)`` for every vertex v, as one tuple (zeros
         for an unused color): the shape :mod:`gallai.kernels` runs on."""
-        row = self._masks.get(color)
+        row = self._rows_by_color().get(color)
         return row if row is not None else (0,) * self.n
 
     def colors_used(self) -> frozenset[int]:
-        return frozenset(self._masks)
+        return frozenset(self._rows_by_color())
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) with u < v, ascending in (u, v)."""
@@ -165,7 +188,7 @@ def join(c1: EdgeColoring, c2: EdgeColoring, fresh_color: int) -> EdgeColoring:
     across the two halves and is rejected.  This is `substitute` of
     (c1, c2) into the two-vertex quotient colored ``fresh_color``.
     """
-    if fresh_color < 1:
+    if exact_int(fresh_color, "fresh_color") < 1:
         raise ValueError(f"colors are positive, got {fresh_color}")
     if fresh_color in c1.colors_used() or fresh_color in c2.colors_used():
         raise ValueError(f"color {fresh_color} already used by an operand")
@@ -218,6 +241,8 @@ def recolor(
     ``k`` sets the declared palette of the result and defaults to the
     smallest palette containing every resulting color and c.k.
     """
+    for value in mapping.values():
+        exact_int(value, "mapped color")
     out = [mapping.get(col, col) for col in c.edge_colors]
     if any(col < 1 for col in out):
         raise ValueError("recoloring must keep colors positive")
@@ -232,7 +257,13 @@ def canonical_digest(c: EdgeColoring) -> str:
     Stable across processes and releases: hashes the versioned text
     ``grc1\\n{n} {k}\\n{edge colors in row-major order}``.  Vertex
     labels matter; isomorphic but differently labeled colorings hash
-    differently.
+    differently.  Computed once per coloring and kept on it, which is
+    safe because a coloring never changes.
     """
-    body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n" + " ".join(map(str, c.edge_colors))
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    if c._digest is None:
+        colors = c._colors
+        text = {col: str(col) for col in set(colors)}  # each colour written once
+        body = " ".join(map(text.__getitem__, colors))
+        body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n{body}"
+        c._digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    return c._digest

@@ -86,10 +86,11 @@ def render_text(doc: ColoringDocument) -> str:
     c = doc.coloring
     lines = [f"# gallai coloring v{doc.version}", f"{c.n} {c.k}"]
     colors = c.edge_colors
+    text = {col: str(col) for col in set(colors)}  # each colour written once
     pos = 0
     for u in range(c.n - 1):
         width = c.n - 1 - u
-        lines.append(" ".join(map(str, colors[pos : pos + width])))
+        lines.append(" ".join(map(text.__getitem__, colors[pos : pos + width])))
         pos += width
     if doc.digest is not None:
         lines.append(f"# digest: {doc.digest}")

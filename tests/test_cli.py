@@ -345,3 +345,13 @@ def test_integers_are_ascii_digits_only(tmp_path, capsys):
         assert "invalid integer value" in err and "Traceback" not in err
     code, out, _ = run(capsys, "random", "--n", "6", "--k", "3", "--seed", "-1")
     assert code == 0 and '"seed":-1' in out
+
+
+def test_pattern_names_strip_only_spaces_and_tabs(tmp_path, capsys):
+    # str.strip() also drops Unicode spaces and the separators \x1c-\x1f
+    path = save(tmp_path, "k6.grc", mono_k6())
+    for token in ("\u2003w4", "kt:3\u3000", "\x1cp3"):
+        code, _, err = run(capsys, "verify", "--in", path, "--pattern", token)
+        assert code == 2 and err and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "--in", path, "--pattern", " \tk3\t ")
+    assert code == 1 and json.loads(out)["ok"] is False

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from gallai import (
     BaseTrace,
     BlowupTrace,
+    ColoringDocument,
     EdgeColoring,
+    FormatError,
     JoinTrace,
     canonical_digest,
     edge_index,
@@ -48,10 +52,72 @@ def test_constructor_validates():
         EdgeColoring(3, 2, [1, 0, 1])  # color below 1
     with pytest.raises(ValueError):
         EdgeColoring(3, 2, [1, 3, 1])  # color above k
+    # n and k are ints proper
+    for n, k, colors in [
+        (3.0, 2, [1, 1, 1]),
+        (True, 1, []),
+        (3, 2.0, [1, 1, 1]),
+        ("3", 2, [1, 1, 1]),
+        (3, None, [1, 1, 1]),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            EdgeColoring(n, k, colors)
     # a color must be an int: a type check, not a failed compare
     for bad in (1.9, 1.0, True, "1", None):
         with pytest.raises(ValueError):
             EdgeColoring(3, 2, [1, bad, 1])
+
+
+def first_bad_color(n, k, colors):
+    # the reference: each edge in row-major order, type before range
+    i = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = colors[i]
+            i += 1
+            if type(c) is not int or not 1 <= c <= k:
+                return f"edge ({u},{v}) has color {c!r}, not in 1..{k}"
+    return None
+
+
+def test_constructor_names_first_bad_edge():
+    k = 3
+    for bad, shown in [(True, "True"), (1.0, "1.0"), (0, "0"), (k + 1, "4")]:
+        colors = [1, 2, 3, 2, bad, 1]  # index 4 is edge (1, 3) of K_4
+        with pytest.raises(ValueError) as exc:
+            EdgeColoring(4, k, colors)
+        assert str(exc.value) == f"edge (1,3) has color {shown}, not in 1..3"
+    # an out-of-range int before a str: the first edge is named, and the
+    # mixed types do not surface as a TypeError from min/max
+    with pytest.raises(ValueError) as exc:
+        EdgeColoring(4, k, [1, 9, "x", 1, 2, 3])
+    assert str(exc.value) == "edge (0,2) has color 9, not in 1..3"
+    with pytest.raises(ValueError) as exc:
+        EdgeColoring(4, k, [1, 2, "x", 0, 2, 3])
+    assert str(exc.value) == "edge (0,3) has color 'x', not in 1..3"
+    one = EdgeColoring(1, k, [])
+    assert one.edge_colors == () and one.colors_used() == frozenset()
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_constructor_matches_per_edge_checker(n, k, data):
+    m = n * (n - 1) // 2
+    color = st.one_of(
+        st.integers(-1, k + 2),
+        st.sampled_from([True, False, 1.0, 2.5, "1", None]),
+    )
+    colors = data.draw(st.lists(color, min_size=m, max_size=m))
+    want = first_bad_color(n, k, colors)
+    if want is None:
+        assert EdgeColoring(n, k, colors).edge_colors == tuple(colors)
+    else:
+        with pytest.raises(ValueError) as exc:
+            EdgeColoring(n, k, colors)
+        assert str(exc.value) == want
 
 
 def test_color_of_lookup_and_errors():
@@ -131,6 +197,19 @@ def test_join_rejects_used_color(pentagon):
         join(pentagon, pentagon, 2)
     with pytest.raises(ValueError):
         join(pentagon, pentagon, 0)
+
+
+def test_composition_colors_are_ints(pentagon):
+    # checked before any comparison: no TypeError, and 2.0 is not "used"
+    for bad in ("x", 2.0, 3.0, True, None):
+        with pytest.raises(ValueError, match="fresh_color must be an integer"):
+            join(pentagon, pentagon, bad)
+    for bad in ("x", 3.0, True, None):
+        with pytest.raises(ValueError, match="mapped color must be an integer"):
+            recolor(pentagon, {1: bad})
+    # an unused key is checked too
+    with pytest.raises(ValueError, match="mapped color must be an integer"):
+        recolor(pentagon, {7: "x"})
 
 
 def test_join_layout(pentagon):
@@ -227,6 +306,70 @@ def test_digest_pinned_and_label_sensitive(pentagon):
 def test_digest_matches_on_equal_objects(c):
     clone = EdgeColoring(c.n, c.k, list(c.edge_colors))
     assert clone == c and canonical_digest(clone) == canonical_digest(c)
+
+
+def brute_rows(c):
+    return {
+        col: tuple(
+            sum(1 << v for v in range(c.n) if v != u and c.color_of(u, v) == col)
+            for u in range(c.n)
+        )
+        for col in range(1, c.k + 2)
+    }
+
+
+ACCESSORS = ("rows", "neighbors", "colors_used", "digest")
+
+
+def touch(c, accessor):
+    if accessor == "rows":
+        c.rows(1)
+    elif accessor == "neighbors":
+        c.neighbors(1, c.n - 1)
+    elif accessor == "colors_used":
+        c.colors_used()
+    else:
+        canonical_digest(c)
+
+
+@given(colorings(), st.sampled_from(ACCESSORS))
+def test_rows_match_color_of_whichever_accessor_runs_first(c, first):
+    clone = EdgeColoring(c.n, c.k, c.edge_colors)
+    touch(clone, first)
+    want = brute_rows(c)
+    for col, rows in want.items():
+        assert clone.rows(col) == rows
+        assert [clone.neighbors(col, v) for v in range(c.n)] == list(rows)
+    assert clone.colors_used() == {col for col, rows in want.items() if any(rows)}
+
+
+@given(colorings())
+def test_digest_is_the_grc1_body_and_repeats(c):
+    body = f"grc1\n{c.n} {c.k}\n" + " ".join(str(col) for col in c.edge_colors)
+    want = hashlib.sha256(body.encode("ascii")).hexdigest()
+    assert canonical_digest(c) == want
+    assert canonical_digest(c) == want
+
+
+@given(colorings(), st.sets(st.sampled_from(ACCESSORS)))
+def test_equality_ignores_filled_caches(c, filled):
+    fresh = EdgeColoring(c.n, c.k, c.edge_colors)
+    warm = EdgeColoring(c.n, c.k, list(c.edge_colors))
+    for accessor in sorted(filled):
+        touch(warm, accessor)
+    assert fresh == warm and warm == fresh
+    assert hash(fresh) == hash(warm) == hash((c.n, c.k, c.edge_colors))
+    assert len({fresh, warm}) == 1
+
+
+def test_document_checks_a_cached_digest(pentagon):
+    c = EdgeColoring(5, 2, pentagon.edge_colors)
+    assert ColoringDocument.sealed(c).digest == PENTAGON_DIGEST  # now cached
+    with pytest.raises(FormatError, match="digest does not match payload"):
+        ColoringDocument(c, "0" * 64)
+    with pytest.raises(FormatError, match="digest does not match payload"):
+        ColoringDocument(c, canonical_digest(recolor(c, {1: 2, 2: 1})))
+    assert ColoringDocument(c, PENTAGON_DIGEST).digest == PENTAGON_DIGEST
 
 
 # -- construction traces -------------------------------------------------

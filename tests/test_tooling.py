@@ -97,3 +97,33 @@ def test_every_module_level_name_is_used():
         if name not in used and not name.startswith("__")
     ]
     assert not dead, dead
+
+
+def private_slots(tree: ast.Module, cls: str) -> set[str]:
+    [body] = [
+        node.body
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    ]
+    [slots] = [
+        ast.literal_eval(stmt.value)
+        for stmt in body
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__"
+    ]
+    return {name for name in slots if name.startswith("_")}
+
+
+def test_only_coloring_reads_edge_coloring_private_slots():
+    # the rows and the digest are filled on first use by coloring.py's
+    # accessors; a direct read elsewhere could see an empty cache
+    tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
+    slots = private_slots(tree, "EdgeColoring")
+    assert {"_colors", "_masks", "_digest"} <= slots
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "coloring.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in slots
+    ]
+    assert not found, found
