@@ -16,128 +16,29 @@ workflows:
 The ``gallai`` command line tool wraps all of it; see ``gallai --help``.
 """
 
-from .coloring import (
-    EdgeColoring,
-    canonical_digest,
-    edge_index,
-    join,
-    recolor,
-    restrict,
-    substitute,
-)
-from .construct import (
-    BASE14_DIGEST,
-    build_lower_bound_witness,
-    load_base14,
-    pentagon_coloring,
-    random_gallai,
-    f_value,
-)
-from .detect import (
-    find_mono,
-    find_rainbow_triangle,
-    has_mono_p3_in_color,
-    mono_complete_between,
-    wheel_from_mono_pair,
-)
-from .errors import PreconditionError
-from .formats import (
-    ColoringDocument,
-    FormatError,
-    parse_json,
-    parse_text,
-    read_document,
-    render_json,
-    render_text,
-    write_document,
-)
-from .patterns import Embedding, PatternSpec
-from .search import (
-    SearchOutcome,
-    SearchStats,
-    SearchTask,
-    UnavoidableOutcome,
-    incremental_conflict,
-    PartialColoring,
-    search_witness,
-    verify_unavoidable,
-)
-from .structure import (
-    ApexSequence,
-    GallaiPartition,
-    PartitionCheck,
-    check_apex_color_distinctness,
-    cross_color_profile,
-    find_gallai_partition,
-    peel_apex_sequence,
-    reduced_graph,
-    verify_gallai_partition,
-)
-from .trace import (
-    BaseTrace,
-    BlowupTrace,
-    ConstructionTrace,
-    JoinTrace,
-    trace_from_json,
-    trace_to_json,
-    validate_trace,
-)
+from .coloring import *
+from .construct import *
+from .detect import *
+from .errors import *
+from .formats import *
+from .patterns import *
+from .search import *
+from .structure import *
+from .trace import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public API, re-exported here; importing a
+# submodule binds its name in this package, so coloring.__all__ resolves
 __all__ = [
-    "EdgeColoring",
-    "edge_index",
-    "restrict",
-    "join",
-    "substitute",
-    "recolor",
-    "canonical_digest",
-    "PatternSpec",
-    "Embedding",
-    "PreconditionError",
-    "find_rainbow_triangle",
-    "find_mono",
-    "has_mono_p3_in_color",
-    "mono_complete_between",
-    "wheel_from_mono_pair",
-    "f_value",
-    "pentagon_coloring",
-    "build_lower_bound_witness",
-    "random_gallai",
-    "BASE14_DIGEST",
-    "load_base14",
-    "GallaiPartition",
-    "PartitionCheck",
-    "ApexSequence",
-    "verify_gallai_partition",
-    "find_gallai_partition",
-    "reduced_graph",
-    "peel_apex_sequence",
-    "check_apex_color_distinctness",
-    "cross_color_profile",
-    "SearchTask",
-    "SearchStats",
-    "SearchOutcome",
-    "UnavoidableOutcome",
-    "PartialColoring",
-    "incremental_conflict",
-    "search_witness",
-    "verify_unavoidable",
-    "ColoringDocument",
-    "FormatError",
-    "parse_json",
-    "parse_text",
-    "read_document",
-    "render_json",
-    "render_text",
-    "write_document",
-    "BaseTrace",
-    "JoinTrace",
-    "BlowupTrace",
-    "ConstructionTrace",
-    "validate_trace",
-    "trace_to_json",
-    "trace_from_json",
+    *coloring.__all__,
+    *construct.__all__,
+    *detect.__all__,
+    *errors.__all__,
+    *formats.__all__,
+    *patterns.__all__,
+    *search.__all__,
+    *structure.__all__,
+    *trace.__all__,
     "__version__",
 ]

@@ -19,14 +19,13 @@ from .construct import build_lower_bound_witness, load_base14, random_gallai
 from .detect import find_mono, find_rainbow_triangle
 from .formats import (
     ColoringDocument,
-    FormatError,
     read_document,
     render_json,
     render_text,
     write_document,
 )
 from .patterns import PatternSpec
-from .search import DEFAULT_NODE_LIMIT, SearchTask, search_witness
+from .search import _SYMMETRIES, DEFAULT_NODE_LIMIT, SearchTask, search_witness
 from .structure import find_gallai_partition, peel_apex_sequence
 from .trace import trace_to_json
 
@@ -287,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="forbid a monochromatic pattern, e.g. w4 or k3@2 (repeatable)",
     )
     sp.add_argument("--forbid-rainbow", action="store_true")
-    sp.add_argument(
-        "--symmetry", choices=("none", "colorSwap", "vertexOrder"), default="colorSwap"
-    )
+    sp.add_argument("--symmetry", choices=_SYMMETRIES, default="colorSwap")
     sp.add_argument("--node-limit", type=integer, default=DEFAULT_NODE_LIMIT)
     sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument(
@@ -330,7 +327,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, ValueError, json.JSONDecodeError) as exc:
+    # FormatError and json.JSONDecodeError are caught here as ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -160,13 +160,16 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, k={self.k})"
 
 
-def _vertex_list(c: EdgeColoring, vertices: Iterable[int]) -> list[int]:
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("vertex set must be nonempty")
-    if vs[0] < 0 or vs[-1] >= c.n:
-        raise ValueError(f"vertex set {vs} not contained in 0..{c.n - 1}")
-    return vs
+def _mask_of(c: EdgeColoring, vertices: Iterable[int], name: str) -> int:
+    # the bitmask of a nonempty set of vertices of c, each an int proper
+    mask = 0
+    for v in vertices:
+        if not 0 <= exact_int(v, "vertex") < c.n:
+            raise ValueError(f"{name} contains vertex {v}, out of range")
+        mask |= 1 << v
+    if mask == 0:
+        raise ValueError(f"{name} must be nonempty")
+    return mask
 
 
 def restrict(c: EdgeColoring, vertices: Iterable[int]) -> EdgeColoring:
@@ -175,7 +178,8 @@ def restrict(c: EdgeColoring, vertices: Iterable[int]) -> EdgeColoring:
     Relabeling preserves the ascending order of the chosen vertices.
     The declared palette is kept even if fewer colors survive.
     """
-    vs = _vertex_list(c, vertices)
+    mask = _mask_of(c, vertices, "vertex set")
+    vs = [v for v in range(c.n) if mask >> v & 1]
     out = [c.color_of(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
     return EdgeColoring(len(vs), c.k, out)
 

@@ -22,10 +22,10 @@ bare booleans, so callers can re-validate any reported hit.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .coloring import EdgeColoring
-from .errors import PreconditionError
+from .coloring import EdgeColoring, _mask_of
+from .errors import PreconditionError, exact_int
 from .kernels import (
     Rows,
     above,
@@ -99,7 +99,7 @@ def find_mono(
     kind (hubs ascending for wheels, centers ascending for paths, and
     so on), so results are reproducible.
     """
-    if color is not None and color < 1:
+    if color is not None and exact_int(color, "color") < 1:
         raise ValueError(f"colors are positive, got {color}")
     if pattern.order > c.n:
         return None
@@ -132,20 +132,9 @@ def find_mono(
 def has_mono_p3_in_color(c: EdgeColoring, color: int) -> bool:
     """True iff some vertex has two neighbors in the given color: the
     same answer as ``find_mono(c, PatternSpec.path3(), color) is not None``."""
-    if color < 1:
+    if exact_int(color, "color") < 1:
         raise ValueError(f"colors are positive, got {color}")
     return path3_within(c.rows(color), c.vertex_mask) is not None
-
-
-def _mask_of(c: EdgeColoring, vertices: Iterable[int], name: str) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < c.n:
-            raise ValueError(f"{name} contains vertex {v}, out of range")
-        mask |= 1 << v
-    if mask == 0:
-        raise ValueError(f"{name} must be nonempty")
-    return mask
 
 
 def mono_complete_between(c: EdgeColoring, side_a, side_b) -> Optional[int]:
@@ -172,9 +161,10 @@ def wheel_from_mono_pair(
     y and hub v2.  Returns the wheel for the first such path (triples
     scanned ascending), or None when A spans no such path.
     """
+    x, y = exact_int(x, "x"), exact_int(y, "y")
     if x == y or not (0 <= x < c.n and 0 <= y < c.n):
         raise ValueError(f"need two distinct vertices, got {x} and {y}")
-    if color < 1:
+    if exact_int(color, "color") < 1:
         raise ValueError(f"colors are positive, got {color}")
     rest = c.vertex_mask & ~(1 << x) & ~(1 << y)
     adj = c.rows(color)

@@ -1,5 +1,7 @@
 """Exception types and input checks shared across the package."""
 
+__all__ = ["PreconditionError"]
+
 
 class PreconditionError(ValueError):
     """A documented precondition of an operation does not hold.

@@ -225,18 +225,20 @@ def _read_payload(data: dict[str, Any]) -> EdgeColoring:
     m = n * (n - 1) // 2
     if len(edges) != m:
         raise FormatError(f"expected {m} edges for n={n}, got {len(edges)}")
-    colors = [0] * m
-    seen = [False] * m
+    # None marks an edge not yet listed; the colors themselves are checked
+    # by EdgeColoring, which also rejects a None left by a null color
+    colors: list[Any] = [None] * m
     for item in edges:
-        if not isinstance(item, (list, tuple)) or [type(x) for x in item] != [int] * 3:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise FormatError(f"bad edge entry {item!r}")
         u, v, col = item
+        if type(u) is not int or type(v) is not int:
+            raise FormatError(f"bad edge entry {item!r}")
         if not (0 <= u < v < n):
             raise FormatError(f"edge ({u},{v}) out of range or misordered")
         idx = edge_index(n, u, v)
-        if seen[idx]:
+        if colors[idx] is not None:
             raise FormatError(f"edge ({u},{v}) listed twice")
-        seen[idx] = True
         colors[idx] = col
     try:
         return EdgeColoring(n, k, colors)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .coloring import EdgeColoring
-from .detect import _mask_of, find_mono, find_rainbow_triangle
-from .errors import PreconditionError
+from .coloring import EdgeColoring, _mask_of
+from .detect import find_mono, find_rainbow_triangle
+from .errors import PreconditionError, exact_int
 from .formats import _write_payload
 from .kernels import (
     bits,
@@ -316,7 +316,7 @@ def cross_color_profile(
     tuples: vertices joined to all of the group in blue, in red, and
     the rest.  The group must be nonempty and the two colors distinct.
     """
-    red, blue = colors
+    red, blue = (exact_int(col, "color") for col in colors)
     if red == blue or red < 1 or blue < 1:
         raise ValueError(f"need two distinct positive colors, got {colors}")
     gmask = _mask_of(c, group, "group")

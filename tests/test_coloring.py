@@ -180,10 +180,13 @@ def test_restrict_relabels_ascending(c, data):
 def test_restrict_rejects_bad_sets(pentagon):
     with pytest.raises(ValueError):
         restrict(pentagon, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex set contains vertex 5, out of range"):
         restrict(pentagon, [0, 5])
     with pytest.raises(ValueError):
         restrict(pentagon, [-1])
+    for bad in (True, 1.0, 0.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            restrict(pentagon, [bad, 2])
 
 
 def test_join_two_single_vertices():

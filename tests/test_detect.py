@@ -249,6 +249,26 @@ def test_find_mono_color_validation(pentagon):
     assert find_mono(pentagon, P3, 7) is None  # unused color, nothing to find
 
 
+def test_color_and_vertex_arguments_are_ints():
+    # a bool or float color once reached the certificate, which
+    # Embedding.from_json rejects, and a float vertex escaped as TypeError
+    c = mono(5)
+    for hit in (find_mono(c, K3, 1), wheel_from_mono_pair(c, 3, 4, 1)):
+        assert Embedding.from_json(hit.to_json()) == hit
+    for bad in (True, 1.0, 0.5):
+        for call in (
+            lambda: find_mono(c, K3, bad),
+            lambda: has_mono_p3_in_color(c, bad),
+            lambda: wheel_from_mono_pair(c, 3, 4, bad),
+            lambda: wheel_from_mono_pair(c, bad, 4, 1),
+            lambda: wheel_from_mono_pair(c, 3, bad, 1),
+            lambda: mono_complete_between(c, [bad], [2]),
+            lambda: mono_complete_between(c, [0], [2, bad]),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+
 def test_find_mono_agrees_with_oracle_on_all_patterns():
     rng = random.Random(71)
     patterns = {P3: oracles.has_mono_p3, C4: oracles.has_mono_c4,

@@ -190,6 +190,21 @@ def sealed_payload(pentagon, **overrides):
         # the version too: True == 1 and 1.0 == 1, but neither is version 1
         {"version": True},
         {"version": 1.0},
+        # edge ends are ints proper, in range and ordered, each edge once
+        {"edges": first_edge_as([False, 1, 1])},
+        {"edges": first_edge_as([0, True, 1])},
+        {"edges": first_edge_as([0, 1.0, 1])},
+        {"edges": first_edge_as(["0", 1, 1])},
+        {"edges": first_edge_as([0, 5, 1])},  # out of range
+        {"edges": first_edge_as([1, 0, 1])},  # swapped
+        {"edges": first_edge_as([-1, 1, 1])},
+        {"edges": first_edge_as(PENTAGON_EDGES[1])},  # duplicate
+        # colors are left to EdgeColoring, which must still end in FormatError
+        {"edges": first_edge_as([0, 1, 0])},
+        {"edges": first_edge_as([0, 1, 3])},  # k + 1
+        {"edges": first_edge_as([0, 1, None])},
+        # a null color does not hide the duplicate after it
+        {"edges": [[0, 1, None], [0, 1, 1]] + PENTAGON_EDGES[2:]},
     ],
 )
 def test_malformed_json_rejected(pentagon, overrides):

@@ -399,6 +399,11 @@ def test_cross_color_profile_validation(pentagon):
         cross_color_profile(pentagon, [0], (2, 2))
     with pytest.raises(ValueError):
         cross_color_profile(pentagon, [9], (1, 2))
+    for bad in (True, 1.0, 0.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cross_color_profile(pentagon, [0], (bad, 2))
+        with pytest.raises(ValueError, match="must be an integer"):
+            cross_color_profile(pentagon, [bad], (1, 2))
 
 
 # -- the joined_to_all checks against color_of references --------------------

@@ -1,8 +1,11 @@
 """Repository rules that are checked by reading the source, not running it."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import gallai
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gallai"
 
@@ -127,3 +130,26 @@ def test_only_coloring_reads_edge_coloring_private_slots():
         if isinstance(node, ast.Attribute) and node.attr in slots
     ]
     assert not found, found
+
+
+def library_modules():
+    # the modules whose __all__ the package re-exports
+    skip = {"__init__", "cli", "kernels"}
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in skip)
+    return [importlib.import_module(f"gallai.{name}") for name in names]
+
+
+def test_package_exports_each_module_all_once():
+    # a module's __all__ is the single declaration of its public names
+    modules = library_modules()
+    assert len(modules) == 9
+    owner = {}
+    for module in modules:
+        assert isinstance(module.__all__, list), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+            owner[name] = module
+    assert len(gallai.__all__) == len(set(gallai.__all__))
+    assert set(gallai.__all__) == set(owner) | {"__version__"}
+    for name, module in owner.items():
+        assert getattr(gallai, name) is getattr(module, name), name
