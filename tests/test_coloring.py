@@ -1,7 +1,8 @@
 import hashlib
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gallai import (
@@ -11,9 +12,11 @@ from gallai import (
     EdgeColoring,
     FormatError,
     JoinTrace,
+    build_lower_bound_witness,
     canonical_digest,
     edge_index,
     join,
+    load_base14,
     recolor,
     restrict,
     substitute,
@@ -129,6 +132,22 @@ def test_color_of_lookup_and_errors():
         c.color_of(1, 1)
     with pytest.raises(ValueError):
         c.color_of(0, 3)
+    # vertices and colours are ints proper: no bool standing for 1, no
+    # float index escaping as TypeError
+    for call in (
+        lambda: c.rows(1.0),
+        lambda: c.rows(True),
+        lambda: c.neighbors(True, 0),
+        lambda: c.neighbors(1, 1.0),
+        lambda: c.neighbors("1", 0),
+        lambda: c.color_of(True, 2),
+        lambda: c.color_of(0.0, 1),
+        lambda: c.color_of(0, "1"),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    assert c.rows(1) == (2, 1, 0) and c.rows(4) == (0, 0, 0)
+    assert c.neighbors(1, 0) == 2 and c.neighbors(0, 0) == 0
 
 
 def test_single_vertex_has_no_colors():
@@ -312,13 +331,14 @@ def test_digest_matches_on_equal_objects(c):
 
 
 def brute_rows(c):
-    return {
-        col: tuple(
-            sum(1 << v for v in range(c.n) if v != u and c.color_of(u, v) == col)
-            for u in range(c.n)
-        )
-        for col in range(1, c.k + 2)
-    }
+    # from color_of alone: every colour met, plus 1, k and k + 1 (zeros
+    # unless used; k + 1 is past the palette)
+    want = {col: [0] * c.n for col in (1, c.k, c.k + 1)}
+    for u in range(c.n):
+        for v in range(c.n):
+            if u != v:
+                want.setdefault(c.color_of(u, v), [0] * c.n)[u] |= 1 << v
+    return {col: tuple(rows) for col, rows in want.items()}
 
 
 ACCESSORS = ("rows", "neighbors", "colors_used", "digest")
@@ -335,7 +355,44 @@ def touch(c, accessor):
         canonical_digest(c)
 
 
-@given(colorings(), st.sampled_from(ACCESSORS))
+@st.composite
+def row_colorings(draw):
+    # EdgeColoring picks its row build from n, k and the colours used:
+    # the dense build from n = 30 with at most (n - 20) // 10 colours
+    # below 256, the per-edge loop otherwise; these reach both
+    n = draw(st.integers(1, 70))
+    k = draw(st.sampled_from([1, 2, 3, 5, 6, 40, 255, 256, 300]))
+    used = draw(
+        st.lists(st.integers(1, k), min_size=1, max_size=min(k, 24), unique=True)
+    )
+    rnd = draw(st.randoms(use_true_random=False))
+    return EdgeColoring(n, k, [rnd.choice(used) for _ in range(n * (n - 1) // 2)])
+
+
+def spread(n, k, used, seed=0):
+    rnd = random.Random(seed)
+    return EdgeColoring(n, k, [rnd.choice(used) for _ in range(n * (n - 1) // 2)])
+
+
+def tower(k):
+    return build_lower_bound_witness(k, load_base14())[0]
+
+
+@settings(deadline=None)  # the n = 350 tower takes about half a second
+@given(row_colorings(), st.sampled_from(ACCESSORS))
+@example(spread(1, 3, [1]), "rows")
+@example(spread(2, 3, [3]), "neighbors")
+@example(spread(31, 2, [1]), "colors_used")  # dense, one colour
+@example(spread(45, 6, [2, 6]), "digest")  # dense, n not a multiple of 8
+@example(spread(50, 255, [1, 255, 17]), "rows")  # dense, the top byte value
+@example(spread(70, 6, [1, 2, 3, 4, 5]), "neighbors")  # dense, at its limit
+@example(spread(70, 6, list(range(1, 7))), "colors_used")  # loop, one past it
+@example(spread(69, 40, list(range(1, 41))), "rows")  # loop, many colours
+@example(spread(45, 300, [3, 256, 299]), "digest")  # loop, wider than a byte
+@example(spread(60, 256, [5]), "neighbors")
+@example(tower(4), "rows")  # n = 70, 140, 350: dense
+@example(tower(5), "colors_used")
+@example(tower(6), "neighbors")
 def test_rows_match_color_of_whichever_accessor_runs_first(c, first):
     clone = EdgeColoring(c.n, c.k, c.edge_colors)
     touch(clone, first)

@@ -153,3 +153,13 @@ def test_package_exports_each_module_all_once():
     assert set(gallai.__all__) == set(owner) | {"__version__"}
     for name, module in owner.items():
         assert getattr(gallai, name) is getattr(module, name), name
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python; newer syntax would only fail there
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in text
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10)
+        )
