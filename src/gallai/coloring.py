@@ -237,7 +237,9 @@ def restrict(c: EdgeColoring, vertices: Iterable[int]) -> EdgeColoring:
     """
     mask = _mask_of(c, vertices, "vertex set")
     vs = [v for v in range(c.n) if mask >> v & 1]
-    out = [c.color_of(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    colors = c.edge_colors
+    at = [edge_index(c.n, u, u + 1) - u - 1 for u in vs]  # at[i] + v is (vs[i], v)
+    out = [colors[a + v] for i, a in enumerate(at) for v in vs[i + 1 :]]
     return EdgeColoring(len(vs), c.k, out)
 
 

@@ -109,24 +109,18 @@ def build_lower_bound_witness(
     if rim < 4 or rim % 2 != 0:
         raise ValueError(f"rim length must be even and at least 4, got {rim}")
     _check_base(base, rim)
-    level: tuple[EdgeColoring, ConstructionTrace] = (
-        base,
-        BaseTrace(base_label, canonical_digest(base), base.n, (1, 2)),
-    )
-    built = {2: level}
-    for kk in range(3, k + 1):
-        palette = tuple(range(1, kk + 1))
-        if kk % 2 == 1:
-            prev, prev_trace = built[kk - 1]
-            col = join(prev, prev, kk)
-            tr: ConstructionTrace = JoinTrace(prev_trace, prev_trace, kk, col.n, palette)
-        else:
-            prev, prev_trace = built[kk - 2]
-            quotient = recolor(pentagon_coloring(), {1: kk - 1, 2: kk}, k=kk)
-            col = substitute(quotient, [prev] * 5)
-            tr = BlowupTrace(quotient, (prev_trace,) * 5, col.n, palette)
-        built[kk] = (col, tr)
-    return built[k]
+    # even levels blow up the level two below; an odd level only ever
+    # joins the even level under it, so it is built once, at the end
+    col = base
+    tr: ConstructionTrace = BaseTrace(base_label, canonical_digest(base), base.n, (1, 2))
+    for kk in range(4, k + 1, 2):
+        quotient = recolor(pentagon_coloring(), {1: kk - 1, 2: kk}, k=kk)
+        col = substitute(quotient, [col] * 5)
+        tr = BlowupTrace(quotient, (tr,) * 5, col.n, tuple(range(1, kk + 1)))
+    if k % 2:
+        col = join(col, col, k)
+        tr = JoinTrace(tr, tr, k, col.n, tuple(range(1, k + 1)))
+    return col, tr
 
 
 def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:

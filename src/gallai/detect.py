@@ -9,12 +9,10 @@ The mask kernels live in :mod:`gallai.kernels`: `rainbow_free` (Gallai
 splits over a worklist, shared with `find_gallai_partition`) to show
 that there is no rainbow triangle, and `rainbow_within` (on
 `rainbow_thirds`, the test the search shares) to name the least one
-when there is; `path3_within` for
-paths (also behind `has_mono_p3_in_color` and `wheel_from_mono_pair`),
-`cycle4_within` for 4-cycles and, once per hub, for 4-wheels,
-`clique_within` for cliques, `embed` along a `plan` for the rims of
-other wheels and for explicit patterns, and `mono_between` for
-`mono_complete_between`.
+when there is; `first_copy`, which picks the full scan for a pattern's
+kind there, so `find_mono` never looks at the kind; `path3_within`
+behind `has_mono_p3_in_color` and `wheel_from_mono_pair`; and
+`mono_between` for `mono_complete_between`.
 
 Detectors return :class:`Embedding` certificates (or ``None``), never
 bare booleans, so callers can re-validate any reported hit.
@@ -27,16 +25,10 @@ from typing import Optional
 from .coloring import EdgeColoring, _mask_of
 from .errors import PreconditionError, exact_int
 from .kernels import (
-    Rows,
-    above,
-    bits,
-    clique_within,
     color_classes,
-    cycle4_within,
-    embed,
+    first_copy,
     mono_between,
     path3_within,
-    plan,
     rainbow_free,
     rainbow_within,
 )
@@ -67,27 +59,6 @@ def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
     return Embedding(_TRIANGLE, None, rainbow_within(c, c.vertex_mask))
 
 
-def _find_wheel(adj: Rows, m: int) -> Optional[tuple[int, ...]]:
-    # hubs ascending, then the first m-cycle inside the hub's neighborhood:
-    # for m = 4 the first 4-cycle by opposite corners, otherwise the least
-    # closed path from the cycle's least vertex s, all others above s
-    rim = plan(m, [(j, (j + 1) % m) for j in range(m)], range(m))[1:]
-    host = [0] * m
-    for hub, ring in enumerate(adj):
-        if ring.bit_count() < m:
-            continue
-        if m == 4:
-            cyc = cycle4_within(adj, ring)
-            if cyc:
-                return (*cyc, hub)
-        else:
-            for s in bits(ring):
-                host[0] = s
-                if embed(adj, rim, host, 0, ring & above(s)):
-                    return (*host, hub)
-    return None
-
-
 def find_mono(
     c: EdgeColoring, pattern: PatternSpec, color: Optional[int] = None
 ) -> Optional[Embedding]:
@@ -95,37 +66,18 @@ def find_mono(
 
     With ``color`` given, only that color class is searched; otherwise
     used colors are tried in ascending order and the first color with a
-    hit wins.  Within one color the scan order is fixed per pattern
-    kind (hubs ascending for wheels, centers ascending for paths, and
-    so on), so results are reproducible.
+    hit wins.  Within one color `first_copy` runs the scan of the
+    pattern's kind, whose order is fixed (hubs ascending for wheels,
+    centers ascending for paths, and so on), so results are reproducible.
     """
     if color is not None and exact_int(color, "color") < 1:
         raise ValueError(f"colors are positive, got {color}")
-    if pattern.order > c.n:
-        return None
     colors = [color] if color is not None else sorted(c.colors_used())
-    everyone = c.vertex_mask
     for i in colors:
-        if i not in c.colors_used():
-            continue
-        adj = c.rows(i)
-        if pattern.kind == "path3":
-            vm = path3_within(adj, everyone)
-        elif pattern.kind == "cycle4":
-            vm = cycle4_within(adj, everyone)
-        elif pattern.kind == "wheel":
-            vm = _find_wheel(adj, pattern.order - 1)
-        elif pattern.kind == "clique":
-            vm = clique_within(adj, everyone, pattern.order)
-        else:
-            # pattern vertices in BFS order from 0; the pattern is connected,
-            # so every later slot has a placed neighbor to anchor on
-            vm = [0] * pattern.order
-            slots = plan(pattern.order, pattern.edges, (0,))
-            if not embed(adj, slots, vm, 0, everyone):
-                vm = None
-        if vm is not None:
-            return Embedding(pattern, i, tuple(vm))
+        if i in c.colors_used():
+            vm = first_copy(pattern, c.rows(i), c.vertex_mask)
+            if vm is not None:
+                return Embedding(pattern, i, vm)
     return None
 
 

@@ -8,7 +8,10 @@ of v's neighbors in that color): `EdgeColoring.rows` and
 their arguments.  The full scans return the first copy of a pattern
 inside a mask in a documented order, which decides the certificates
 the detectors promise; the through-edge checks tell the search whether
-the edge (u, v) completes a copy.  `rainbow_thirds` is the one
+the edge (u, v) completes a copy.  Only here does a `PatternSpec`'s kind
+pick its kernels: `first_copy` the full scan (`find_mono` runs it per
+color), `through_check` the check (`PartialColoring` keeps one per
+forbidden pattern).  `rainbow_thirds` is the one
 rainbow-triangle test: `rainbow_within` scans a mask of an
 `EdgeColoring` with it, the search probes one edge with it.
 `joined_to_all`, the AND of a mask's rows, is the one "joined in one
@@ -146,6 +149,48 @@ def embed(
         if embed(adj, slots, host, used | (1 << w), allowed, si + 1):
             return True
     return False
+
+
+def wheel_within(adj: Rows, mask: int, m: int) -> Optional[tuple[int, ...]]:
+    """First wheel (rim..., hub) with an m-vertex rim inside ``mask``, or
+    None.  Hubs ascend, then the first m-cycle in the hub's neighborhood:
+    for m = 4 by `cycle4_within`, else the least closed path from the
+    cycle's least vertex s, all others above s."""
+    rim = plan(m, [(j, (j + 1) % m) for j in range(m)], range(m))[1:]
+    host = [0] * m
+    for hub in bits(mask):
+        ring = adj[hub] & mask
+        if ring.bit_count() < m:
+            continue
+        if m == 4:
+            cyc = cycle4_within(adj, ring)
+            if cyc:
+                return (*cyc, hub)
+        else:
+            for s in bits(ring):
+                host[0] = s
+                if embed(adj, rim, host, 0, ring & above(s)):
+                    return (*host, hub)
+    return None
+
+
+def first_copy(pattern, adj: Rows, mask: int) -> Optional[tuple[int, ...]]:
+    """The vertex map of the first copy of the `PatternSpec` ``pattern``
+    inside ``mask`` by the scan of its kind, or None.  Explicit patterns
+    go breadth first from vertex 0; they are connected, so every later
+    slot has a placed neighbor to anchor on."""
+    kind, order = pattern.kind, pattern.order
+    if kind == "path3":
+        return path3_within(adj, mask)
+    if kind == "cycle4":
+        return cycle4_within(adj, mask)
+    if kind == "wheel":
+        return wheel_within(adj, mask, order - 1)
+    if kind == "clique":
+        return clique_within(adj, mask, order)
+    host = [0] * order
+    slots = plan(order, pattern.edges, (0,))
+    return tuple(host) if embed(adj, slots, host, 0, mask) else None
 
 
 def joined_to_all(adj: Rows, xmask: int) -> int:
@@ -391,3 +436,41 @@ def wheel4_through(adj: Rows, u: int, v: int) -> bool:
                     return True
                 ws ^= bw
     return False
+
+
+def through_check(pattern):
+    """The check ``chk(adj, u, v)``: does the edge (u, v) complete a copy of
+    the `PatternSpec` ``pattern`` in the color whose rows are ``adj``?  The
+    kernel above for its kind, a clique in the common neighborhood, or else
+    `embed` along a `plan` per pattern edge put on (u, v), both ways round."""
+    kind, order = pattern.kind, pattern.order
+    if kind == "path3":
+        return path3_through
+    if kind == "cycle4":
+        return cycle4_through
+    if kind == "wheel" and order == 5:
+        return wheel4_through
+    if kind == "clique":
+        need = order - 2
+
+        def chk(adj: Rows, u: int, v: int) -> bool:
+            return clique_within(adj, adj[u] & adj[v], need) is not None
+
+        return chk
+
+    plans = [
+        (a0, a1, plan(order, pattern.edges, (a0, a1))[2:])
+        for p, q in pattern.edges
+        for a0, a1 in ((p, q), (q, p))
+    ]
+
+    def chk(adj: Rows, u: int, v: int) -> bool:
+        host = [-1] * order
+        used = (1 << u) | (1 << v)
+        for a0, a1, slots in plans:
+            host[a0], host[a1] = u, v
+            if embed(adj, slots, host, used, ~used):
+                return True
+        return False
+
+    return chk

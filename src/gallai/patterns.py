@@ -22,9 +22,30 @@ __all__ = ["PatternSpec", "Embedding"]
 _EXPLICIT_MAX = 8
 
 
-def _normalize_edges(order: int, edges: Iterable[tuple[int, int]]):
+def _edges_of(kind: str, order: int, edges: Iterable[tuple[int, int]] = ()):
+    """The sorted edges the classmethod of ``kind`` gives a pattern on
+    ``order`` vertices (``edges`` is read for explicit ones only), or
+    ValueError when it builds none."""
+    order = exact_int(order, "pattern order")
+    if kind == "wheel":
+        m = order - 1
+        if m < 3:
+            raise ValueError(f"wheel rim needs at least 3 vertices, got {m}")
+        rim = [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)]
+        return tuple(sorted(rim + [(i, m) for i in range(m)]))
+    if kind == "clique":
+        if order < 2:
+            raise ValueError(f"clique needs at least 2 vertices, got {order}")
+        return tuple((u, v) for u in range(order) for v in range(u + 1, order))
+    if (kind, order) == ("path3", 3):
+        return ((0, 1), (1, 2))
+    if (kind, order) == ("cycle4", 4):
+        return ((0, 1), (0, 3), (1, 2), (2, 3))
+    if kind != "explicit":
+        raise ValueError(f"no {kind!r} pattern on {order} vertices")
+    if not 2 <= order <= _EXPLICIT_MAX:
+        raise ValueError(f"explicit pattern order must be 2..{_EXPLICIT_MAX}")
     seen = set()
-    out = []
     for u, v in edges:
         u, v = exact_int(u, "pattern edge end"), exact_int(v, "pattern edge end")
         if u == v:
@@ -36,8 +57,9 @@ def _normalize_edges(order: int, edges: Iterable[tuple[int, int]]):
         if (u, v) in seen:
             raise ValueError(f"duplicate pattern edge ({u},{v})")
         seen.add((u, v))
-        out.append((u, v))
-    return tuple(sorted(out))
+    if len(plan(order, seen, (0,))) < order:
+        raise ValueError("explicit pattern must be connected")
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -47,46 +69,45 @@ class PatternSpec:
     ``kind`` is one of ``wheel``, ``path3``, ``cycle4``, ``clique``,
     ``explicit``.  Wheels place the rim on 0..m-1 (in cycle order) and
     the hub on vertex m.  Use the classmethod constructors; they pin
-    the vertex conventions the detectors rely on.
+    the vertex conventions the detectors rely on.  The kind alone picks
+    the kernels (`kernels.first_copy`, `kernels.through_check`), so the
+    constructor accepts exactly what a classmethod builds.
     """
 
     kind: str
     order: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        try:
+            want = _edges_of(self.kind, self.order, self.edges)
+        except TypeError as exc:
+            raise ValueError(f"malformed pattern edges: {exc!r}") from exc
+        if want != self.edges:
+            raise ValueError(f"not the edges of {self.kind!r} on {self.order} vertices")
+
     @classmethod
     def wheel(cls, m: int) -> "PatternSpec":
         """Wheel with an m-vertex rim cycle plus a hub joined to all of it."""
-        if exact_int(m, "wheel rim size") < 3:
-            raise ValueError(f"wheel rim needs at least 3 vertices, got {m}")
-        rim = [(i, (i + 1) % m) for i in range(m)]
-        spokes = [(i, m) for i in range(m)]
-        return cls("wheel", m + 1, _normalize_edges(m + 1, rim + spokes))
+        order = exact_int(m, "wheel rim size") + 1
+        return cls("wheel", order, _edges_of("wheel", order))
 
     @classmethod
     def path3(cls) -> "PatternSpec":
-        return cls("path3", 3, ((0, 1), (1, 2)))
+        return cls("path3", 3, _edges_of("path3", 3))
 
     @classmethod
     def cycle4(cls) -> "PatternSpec":
-        return cls("cycle4", 4, ((0, 1), (0, 3), (1, 2), (2, 3)))
+        return cls("cycle4", 4, _edges_of("cycle4", 4))
 
     @classmethod
     def clique(cls, t: int) -> "PatternSpec":
-        if exact_int(t, "clique order") < 2:
-            raise ValueError(f"clique needs at least 2 vertices, got {t}")
-        edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
-        return cls("clique", t, tuple(edges))
+        return cls("clique", t, _edges_of("clique", exact_int(t, "clique order")))
 
     @classmethod
     def explicit(cls, order: int, edges: Iterable[tuple[int, int]]) -> "PatternSpec":
         """Arbitrary connected pattern on at most 8 vertices."""
-        if not 2 <= exact_int(order, "pattern order") <= _EXPLICIT_MAX:
-            raise ValueError(f"explicit pattern order must be 2..{_EXPLICIT_MAX}")
-        norm = _normalize_edges(order, edges)
-        if len(plan(order, norm, (0,))) < order:
-            raise ValueError("explicit pattern must be connected")
-        return cls("explicit", order, norm)
+        return cls("explicit", order, _edges_of("explicit", order, edges))
 
     @property
     def label(self) -> str:

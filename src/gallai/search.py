@@ -17,13 +17,11 @@ Design notes, fixed for reproducibility:
   ``node_limit`` nodes still ends ``exhausted``.
 * Conflicts are detected incrementally: only structures through the
   newly colored edge are checked, by the kernels of :mod:`gallai.kernels`:
-  `rainbow_thirds` (as in `find_rainbow_triangle`), the through-edge
-  kernels (`path3_through`, `cycle4_through`, `wheel4_through`),
-  `clique_within` on the common neighborhood of the edge's ends for
-  cliques, and `embed` along one `plan` per anchored pattern edge for
-  every other pattern.  None of them reads the edge's own bit, so the
-  forward check probes the later edges of the column while they are
-  open.  Every probe goes through `PartialColoring.conflict`.
+  `rainbow_thirds` (as in `find_rainbow_triangle`) and, per forbidden
+  pattern, the check `through_check` picks there for its kind.  None of
+  them reads the edge's own bit, so the forward check probes the later
+  edges of the column while they are open.  Every probe goes through
+  `PartialColoring.conflict`.
 * The forward check keeps a color domain per edge (j, v) of the open
   column: the bitmask of colors that complete no forbidden structure.
   On arriving at (0, v) every color of every (j, v) is probed once.
@@ -67,15 +65,7 @@ from typing import Any, Optional
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
 from .errors import exact_int
-from .kernels import (
-    clique_within,
-    cycle4_through,
-    embed,
-    path3_through,
-    plan,
-    rainbow_thirds,
-    wheel4_through,
-)
+from .kernels import rainbow_thirds, through_check
 from .patterns import PatternSpec
 
 __all__ = [
@@ -211,49 +201,6 @@ class UnavoidableOutcome:
     stats: SearchStats
 
 
-# -- conflict checks ------------------------------------------------------
-# Each check answers: does the edge (u, v) complete a copy of the pattern
-# inside one color class?  `adj` is that class's list of neighbor
-# bitmasks; whether it holds (u, v) yet makes no difference.
-
-
-def _make_check(pattern: PatternSpec):
-    kind = pattern.kind
-    if kind == "path3":
-        return path3_through
-    if kind == "cycle4":
-        return cycle4_through
-    if kind == "wheel" and pattern.order == 5:
-        return wheel4_through
-    if kind == "clique":
-        need = pattern.order - 2
-
-        def chk(adj: list[int], u: int, v: int) -> bool:
-            return clique_within(adj, adj[u] & adj[v], need) is not None
-
-        return chk
-
-    # map a pattern edge onto the new host edge, both ways round, then
-    # place the remaining pattern vertices breadth first from it
-    order_n = pattern.order
-    plans = [
-        (a0, a1, plan(order_n, pattern.edges, (a0, a1))[2:])
-        for p, q in pattern.edges
-        for a0, a1 in ((p, q), (q, p))
-    ]
-
-    def chk(adj: list[int], u: int, v: int) -> bool:
-        host = [-1] * order_n
-        used = (1 << u) | (1 << v)
-        for a0, a1, slots in plans:
-            host[a0], host[a1] = u, v
-            if embed(adj, slots, host, used, ~used):
-                return True
-        return False
-
-    return chk
-
-
 class PartialColoring:
     """Mutable assignment state over a task; the engine's working object.
 
@@ -271,9 +218,7 @@ class PartialColoring:
         self.colors = [0] * (task.n * (task.n - 1) // 2)
         self.masks = [[0] * task.n for _ in range(task.k + 1)]
         self.assigned = [0] * task.n
-        self._checks = tuple(
-            (scope, _make_check(pat)) for pat, scope in task.forbidden
-        )
+        self._checks = tuple((scope, through_check(p)) for p, scope in task.forbidden)
 
     def color_at(self, u: int, v: int) -> int:
         if u > v:

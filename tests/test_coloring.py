@@ -453,6 +453,22 @@ def test_trace_validation_rejects_bad_arithmetic(pentagon):
         validate_trace(JoinTrace(bt, bt, 2, 10, (1, 2)))  # fresh color reused
     with pytest.raises(ValueError):
         validate_trace(JoinTrace(bt, bt, 3, 10, (1, 2)))  # color set wrong
+    quotient = EdgeColoring(2, 3, [3])
+    validate_trace(BlowupTrace(quotient, (bt, bt), 10, (1, 2, 3)))
+    for bad in [
+        BaseTrace("b", bt.digest, 0, (1, 2)),  # empty base
+        BlowupTrace(quotient, (bt, bt, bt), 15, (1, 2, 3)),  # one child too many
+        BlowupTrace(quotient, (bt, bt), 11, (1, 2, 3)),  # size off by one
+        BlowupTrace(quotient, (bt, bt), 10, (1, 2)),  # quotient color missing
+        BlowupTrace(quotient, (bt, bt), 10, (1, 2, 3, 4)),  # color never used
+    ]:
+        with pytest.raises(ValueError):
+            validate_trace(bad)
+    for not_a_trace in (None, pentagon, {"op": "base"}):
+        with pytest.raises(ValueError, match="not a construction trace"):
+            validate_trace(not_a_trace)
+        with pytest.raises(ValueError, match="not a construction trace"):
+            trace_to_json(not_a_trace)
 
 
 def test_trace_validation_rejects_wide_quotient(pentagon):

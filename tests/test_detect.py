@@ -210,11 +210,69 @@ def test_embedding_json_round_trip_and_strict(pentagon):
     for shape in (None, [], "c4", 7):
         with pytest.raises(ValueError):
             Embedding.from_json(shape)
+    # maps that parse but that no host can certify
+    c = join(pentagon, pentagon, 3)
+    assert certs[0].check(c)
+    # wrong length, a repeated vertex, out of range
+    for vertices in (
+        [0, 5, 1], [0, 5, 1, 6, 2], [0, 5, 0, 6], [0, 5, 1, 10], [-1, 5, 1, 6]
+    ):
+        assert not Embedding.from_json({**data, "vertices": vertices}).check(c)
+    # a rainbow certificate names a triangle, never another pattern
+    rainbow = EdgeColoring(4, 3, [1, 2, 3, 3, 1, 2])
+    assert Embedding(K3, None, (0, 1, 2)).check(rainbow)
+    for pattern in (P3, C4, PatternSpec.clique(4)):
+        vm = tuple(range(pattern.order))
+        assert not Embedding(pattern, None, vm).check(rainbow)
+
+
+def test_pattern_spec_is_exactly_what_a_classmethod_builds():
+    built = [W4, P3, C4, K3, PatternSpec.wheel(3), PatternSpec.clique(2),
+             PatternSpec.explicit(4, [(2, 3), (0, 1), (1, 2)])]
+    for p in built:
+        assert PatternSpec(p.kind, p.order, p.edges) == p
+        assert PatternSpec.from_json(p.to_json()) == p
+    # kind, order and edges that disagree: once read as a triangle with no
+    # edges to check, a K4 labelled wheel:3, and an "explicit" path whose
+    # JSON round trip gave another object
+    for kind, order, edges in [
+        ("clique", 3, ()),
+        ("wheel", 4, ((0, 1),)),
+        ("bogus", 3, ((0, 1), (1, 2))),
+        ("path3", 4, ((0, 1), (1, 2))),
+        ("cycle4", 4, ((0, 1), (1, 2), (2, 3), (0, 3))),  # unsorted
+        ("explicit", 3, ((1, 2), (0, 1))),
+        ("explicit", 3, [(0, 1), (1, 2)]),
+        ("explicit", 3, 5),
+        ("explicit", 3.0, ((0, 1), (1, 2))),
+        (None, 3, ((0, 1), (1, 2))),
+    ]:
+        with pytest.raises(ValueError):
+            PatternSpec(kind, order, edges)
+    # the classmethods' own errors keep their messages
+    for call, message in [
+        (lambda: PatternSpec.explicit(3, [(1, 1), (1, 2)]), "is a loop"),
+        (lambda: PatternSpec.explicit(3, [(0, 1), (1, 3)]), "out of range"),
+        (lambda: PatternSpec.explicit(3, [(0, 1), (1, 0)]), "duplicate"),
+        (lambda: PatternSpec.wheel(2), "at least 3 vertices"),
+        (lambda: PatternSpec.clique(1), "at least 2 vertices"),
+        (lambda: PatternSpec.explicit(1, []), "order must be 2..8"),
+        (lambda: PatternSpec.explicit(9, [(0, 1)]), "order must be 2..8"),
+        (lambda: PatternSpec.explicit(4, [(0, 1), (2, 3)]), "must be connected"),
+        (lambda: PatternSpec.from_json({"kind": "bogus"}), "unknown pattern kind"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_pattern_larger_than_host():
+    # the scans themselves find nothing: find_mono has no size shortcut
     assert find_mono(mono(4), W4) is None
     assert find_mono(mono(2), K3) is None
+    assert find_mono(mono(2), P3) is None
+    assert find_mono(mono(3), C4, 1) is None
+    assert find_mono(mono(4), PatternSpec.wheel(5)) is None
+    assert find_mono(mono(3), PatternSpec.explicit(4, [(0, 1), (1, 2), (2, 3)])) is None
 
 
 def test_mono_k5_contains_w4_deterministically():

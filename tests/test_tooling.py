@@ -132,6 +132,19 @@ def test_only_coloring_reads_edge_coloring_private_slots():
     assert not found, found
 
 
+def test_only_patterns_and_kernels_read_pattern_kind():
+    # patterns.py says what a kind is, kernels.py which kernel finds it;
+    # a branch on the kind anywhere else is a second, parallel choice
+    found = [
+        f"{path.name}:{node.lineno}: .kind"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("patterns.py", "kernels.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "kind"
+    ]
+    assert not found, found
+
+
 def library_modules():
     # the modules whose __all__ the package re-exports
     skip = {"__init__", "cli", "kernels"}
