@@ -9,6 +9,7 @@ resource limit reached before an answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -238,6 +239,9 @@ def cmd_digest(args) -> int:
     return EXIT_OK
 
 
+# one parser per process, built by the first call and not at import:
+# building it costs about 30 times what parsing a command line does
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gallai",

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _DIGEST_HEADER = "grc1"
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # colour byte -> digit
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -213,7 +214,9 @@ def _dense_rows(n: int, data: bytes, used: list[int]) -> dict[int, tuple[int, ..
     for c in used:
         table = b"0" * c + b"1" + b"0" * (255 - c)
         starts = range(n * n - n, -1, -n)  # row u starts at (n - 1 - u) * n
-        rows[c] = tuple(int(grid[i : i + n].translate(table), 2) for i in starts)
+        # int(..., 2) sizes its result by the string's length and keeps the
+        # leading zeros' room; "| 0" makes a right-sized copy
+        rows[c] = tuple(int(grid[i : i + n].translate(table), 2) | 0 for i in starts)
     return rows
 
 
@@ -324,9 +327,33 @@ def canonical_digest(c: EdgeColoring) -> str:
     safe because a coloring never changes.
     """
     if c._digest is None:
-        colors = c._colors
-        text = {col: str(col) for col in set(colors)}  # each colour written once
-        body = " ".join(map(text.__getitem__, colors))
+        body = _color_text(c, " ")[:-1]  # all on one line, no trailing space
         body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n{body}"
         c._digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     return c._digest
+
+
+def _color_text(c: EdgeColoring, row_end: str) -> str:
+    # the edge colours in row-major order, with a space after each edge of
+    # a row but its last and row_end after that: the digest's body and the
+    # .grc rows
+    n, colors = c.n, c._colors
+    if c.k <= 9:
+        # one digit per colour: the digits go at the even bytes of a
+        # template whose odd bytes are the separators
+        out = bytearray(b" ") * (2 * len(colors))
+        out[::2] = bytes(colors).translate(_DIGITS)
+        end = ord(row_end)
+        pos = -1
+        for width in range(n - 1, 0, -1):
+            pos += 2 * width
+            out[pos] = end
+        return out.decode("ascii")
+    text = {col: str(col) for col in set(colors)}  # each colour written once
+    rows = []
+    start = 0
+    for width in range(n - 1, 0, -1):
+        row = colors[start : start + width]
+        rows.append(" ".join(map(text.__getitem__, row)) + row_end)
+        start += width
+    return "".join(rows)

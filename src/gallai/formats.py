@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .coloring import EdgeColoring, canonical_digest, edge_index
+from .coloring import EdgeColoring, _color_text, canonical_digest, edge_index
 
 __all__ = [
     "FORMAT_VERSION",
@@ -84,23 +84,16 @@ class ColoringDocument:
 
 def render_text(doc: ColoringDocument) -> str:
     c = doc.coloring
-    lines = [f"# gallai coloring v{doc.version}", f"{c.n} {c.k}"]
-    colors = c.edge_colors
-    text = {col: str(col) for col in set(colors)}  # each colour written once
-    pos = 0
-    for u in range(c.n - 1):
-        width = c.n - 1 - u
-        lines.append(" ".join(map(text.__getitem__, colors[pos : pos + width])))
-        pos += width
+    parts = [f"# gallai coloring v{doc.version}\n{c.n} {c.k}\n", _color_text(c, "\n")]
     if doc.digest is not None:
-        lines.append(f"# digest: {doc.digest}")
+        parts.append(f"# digest: {doc.digest}\n")
     if doc.provenance is not None:
         blob = json.dumps(doc.provenance, sort_keys=True, separators=(",", ":"))
-        lines.append(f"# provenance: {blob}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"# provenance: {blob}\n")
+    return "".join(parts)
 
 
-def _int_tokens(line: str, lineno: int) -> list[int]:
+def _digit_tokens(line: str, lineno: int) -> list[str]:
     # ASCII digits separated by spaces and tabs: int() alone also takes a
     # sign, "_" and the digits of other scripts, and str.split() also
     # splits on the other Unicode spaces, which the count below catches.
@@ -112,7 +105,22 @@ def _int_tokens(line: str, lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: {bad!r} is not an integer")
     if len(line) - len(joined) != line.count(" ") + line.count("\t"):
         raise FormatError(f"line {lineno}: tokens must be separated by spaces or tabs")
-    return list(map(int, tokens))
+    return tokens
+
+
+def _ints(tokens: list[str], lines: list[tuple[int, str]]) -> list[int]:
+    # the values of the digit tokens read from lines, one int() per
+    # distinct token; int() raises ValueError past the interpreter's limit
+    # on digits (4,300 by default, leading zeros included), so the longest
+    # token is one it refused
+    distinct = set(tokens)
+    try:
+        value = {t: int(t) for t in distinct}
+    except ValueError as exc:
+        bad = max(distinct, key=len)
+        lineno = next(no for no, line in lines if bad in line.split())
+        raise FormatError(f"line {lineno}: {len(bad)}-digit integer is too long") from exc
+    return list(map(value.__getitem__, tokens))
 
 
 def parse_text(text: str) -> ColoringDocument:
@@ -150,23 +158,24 @@ def parse_text(text: str) -> ColoringDocument:
     if not data_lines:
         raise FormatError("no header line")
     head_no, head = data_lines[0]
-    dims = _int_tokens(head, head_no)
+    dims = _digit_tokens(head, head_no)
     if len(dims) != 2:
         raise FormatError(f"line {head_no}: header must be 'n k'")
-    n, k = dims
+    n, k = _ints(dims, data_lines[:1])
     if n < 1 or k < 1:
         raise FormatError(f"line {head_no}: need n >= 1 and k >= 1, got {n} {k}")
     rows = data_lines[1:]
     if len(rows) != max(n - 1, 0):
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
-    colors: list[int] = []
+    tokens: list[str] = []
     for u, (lineno, line) in enumerate(rows):
-        vals = _int_tokens(line, lineno)
-        if len(vals) != n - 1 - u:
+        row = _digit_tokens(line, lineno)
+        if len(row) != n - 1 - u:
             raise FormatError(
-                f"line {lineno}: row {u} must list {n - 1 - u} colors, got {len(vals)}"
+                f"line {lineno}: row {u} must list {n - 1 - u} colors, got {len(row)}"
             )
-        colors.extend(vals)
+        tokens += row
+    colors = _ints(tokens, rows)
     try:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:
@@ -255,7 +264,10 @@ def _pick_format(path: Union[str, Path], fmt: Optional[str]) -> str:
 
 
 def read_document(path: Union[str, Path], fmt: Optional[str] = None) -> ColoringDocument:
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:  # a non-ASCII byte
+        raise FormatError(str(exc)) from exc
     if _pick_format(path, fmt) == "json":
         return parse_json(text)
     return parse_text(text)

@@ -146,3 +146,15 @@ def rainbow_through_edge(c, edge) -> bool:
         if 0 not in cols and len(cols) == 3:
             return True
     return False
+
+
+def color_text(c, row_end):
+    """The edge colours as text, one ``str`` per colour: a space after
+    each edge inside a row and ``row_end`` after each row's last edge."""
+    colors = c.edge_colors
+    text, start = [], 0
+    for width in range(c.n - 1, 0, -1):
+        text.append(" ".join(str(col) for col in colors[start : start + width]))
+        text.append(row_end)
+        start += width
+    return "".join(text)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +359,66 @@ def test_pattern_names_strip_only_spaces_and_tabs(tmp_path, capsys):
         assert code == 2 and err and "Traceback" not in err
     code, out, _ = run(capsys, "verify", "--in", path, "--pattern", " \tk3\t ")
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main call: the import's own cost
+    # is the set-up every command pays
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import gallai.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "0\n"
+
+
+def search_task(tmp_path, capsys, name, *patterns):
+    # the task a search records in its witness document
+    out = tmp_path / name
+    argv = ["search", "--n", "4", "--k", "2", "--out", str(out)]
+    for pattern in patterns:
+        argv += ["--pattern", pattern]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return read_document(out).provenance["task"]
+
+
+def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
+    # one parser serves every call; an appended option starts empty each time
+    k3, k4, c4 = (
+        p.to_json()
+        for p in (PatternSpec.clique(3), PatternSpec.clique(4), PatternSpec.cycle4())
+    )
+    first = search_task(tmp_path, capsys, "a.grc", "k3", "kt:4")
+    second = search_task(tmp_path, capsys, "b.grc", "c4")
+    assert [f["pattern"] for f in first["forbidden"]] == [k3, k4]
+    assert [f["pattern"] for f in second["forbidden"]] == [c4]
+    assert search_task(tmp_path, capsys, "c.grc")["forbidden"] == []
+
+
+def test_main_recovers_after_an_argparse_error(tmp_path, capsys):
+    path = save(tmp_path, "k6.grc", mono_k6())
+    for bad in (
+        ["verify"],
+        ["search", "--pattern", "k3", "--n"],
+        ["digest", "--in", path, "--bogus"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: gallai")
+        code, out, _ = run(capsys, "digest", "--in", path)
+        assert code == 0 and out == canonical_digest(mono_k6()) + "\n"
+    task = search_task(tmp_path, capsys, "d.grc", "c4")
+    assert [f["pattern"] for f in task["forbidden"]] == [PatternSpec.cycle4().to_json()]

@@ -1,10 +1,12 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gallai import (
     BaseTrace,
     BlowupTrace,
@@ -24,6 +26,7 @@ from gallai import (
     trace_to_json,
     validate_trace,
 )
+from gallai.coloring import _color_text, _dense_rows, _edge_rows
 
 # pinned once from the documented digest preimage; guards format drift
 PENTAGON_DIGEST = "52557dc8cdf3a20c40c582fdc5caa4e1f6b8f6b55831ac20cfd23ff4d45cd93b"
@@ -409,6 +412,44 @@ def test_digest_is_the_grc1_body_and_repeats(c):
     want = hashlib.sha256(body.encode("ascii")).hexdigest()
     assert canonical_digest(c) == want
     assert canonical_digest(c) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 12, 255, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 29])
+def test_color_text_matches_per_token_join(n, k):
+    # k <= 9 writes digits into a byte template, k >= 10 joins tokens
+    rnd = random.Random(n * 1000 + k)
+    c = EdgeColoring(n, k, [rnd.randint(1, k) for _ in range(n * (n - 1) // 2)])
+    for row_end in (" ", "\n"):
+        assert _color_text(c, row_end) == oracles.color_text(c, row_end)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5, 6])
+def test_color_text_of_the_tower(k):
+    c = tower(k)
+    for row_end in (" ", "\n"):
+        assert _color_text(c, row_end) == oracles.color_text(c, row_end)
+    c10 = recolor(c, {1: 10})  # the same rows through the per-token join
+    assert _color_text(c10, "\n") == oracles.color_text(c10, "\n")
+
+
+def test_dense_rows_are_right_sized():
+    # int(bits, 2) sizes its int by the string's length, leading zeros
+    # included; the dense rows must hold no more than the per-edge loop's
+    c = tower(5)  # n = 140, dense
+    data = bytes(c.edge_colors)
+    used = sorted(set(data))
+    sizes = []
+    for build in (lambda: _dense_rows(c.n, data, used), lambda: _edge_rows(c.n, data)):
+        tracemalloc.start()
+        try:
+            rows = build()
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del rows
+    dense, loop = sizes
+    assert dense <= loop * 1.02, sizes
 
 
 @given(colorings(), st.sets(st.sampled_from(ACCESSORS)))

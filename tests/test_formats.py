@@ -91,6 +91,44 @@ def test_crlf_lines_and_tabs_accepted():
         assert parse_text(text) == doc
 
 
+def test_wide_palettes_and_loose_rows_round_trip():
+    # k >= 10 writes multi-digit colours; the reader takes leading zeros
+    # and any run of spaces and tabs between tokens
+    rng = random.Random(10)
+    for n, k in ((2, 10), (3, 12), (9, 300)):
+        c = oracles.arbitrary_coloring(n, k, seed=rng.randint(0, 10**9))
+        doc = ColoringDocument.sealed(c, provenance={"k": k})
+        assert round_trip_text(doc) == doc
+        lines = render_text(doc).split("\n")
+        for i in range(1, n + 1):  # the header and the rows
+            lines[i] = "\t0" + lines[i].replace(" ", " \t  0") + " "
+        assert parse_text("\n".join(lines)) == doc
+    doc = parse_text("3 12\n01 \t 12\n0010\n")
+    assert doc.coloring.edge_colors == (1, 12, 10)
+    assert render_text(doc) == "# gallai coloring v1\n3 12\n1 12\n10\n"
+
+
+def test_integers_past_the_digit_limit_are_format_errors():
+    # int() refuses strings of more than 4,300 digits with a ValueError;
+    # leading zeros count
+    long = "1" * 5000
+    for text, line in (
+        (f"2 1\n{long}\n", 2),
+        (f"{long} 1\n", 1),
+        (f"2 {long}\n1\n", 1),
+        ("# note\n3 2\n1 " + "0" * 4400 + "1\n1\n", 3),
+    ):
+        with pytest.raises(FormatError, match=f"^line {line}: .* too long"):
+            parse_text(text)
+
+
+def test_read_document_non_ascii_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.grc"
+    path.write_bytes("# caf\u00e9\n3 2\n1 2\n1\n".encode("utf-8"))
+    with pytest.raises(FormatError):
+        read_document(path)
+
+
 def test_comments_and_blank_lines_tolerated():
     ok = "# note\n\n3 2\n# between\n1 2   # inline tail dropped\n\n1\n"
     doc = parse_text(ok)
