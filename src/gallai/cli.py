@@ -109,6 +109,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     doc = read_document(args.input, args.format)
     c = doc.coloring
+    if args.color is not None and not 1 <= args.color <= c.k:
+        raise ValueError(f"--color {args.color} is outside the palette 1..{c.k}")
     used = c.colors_used()
     if len(used) < c.k:
         print(

@@ -48,10 +48,18 @@ class EdgeColoring:
 
     Per-color adjacency is exposed as vertex bitmasks, one vertex at a
     time via `neighbors` or one color at a time via `rows`, which is
-    what every detector in this package is built on.  The constructor
-    checks every color; the rows are built on the first call to
-    `neighbors`, `rows` or `colors_used` and kept.  Every argument of
-    these accessors and of `color_of` is an int proper.
+    what every detector in this package is built on.  The rows are built
+    on the first call to `neighbors`, `rows` or `colors_used` and kept.
+    Every argument of these accessors and of `color_of` is an int proper.
+
+    Each color is checked once, where it enters the package.  The
+    constructor checks every color: ``bytes`` (which `parse_text` passes
+    for rows of one-digit colors) by one ``translate`` that deletes 1..k,
+    and keeps them for the digest, the ``.grc`` rows and the dense build;
+    anything else by type, ``min`` and ``max`` over the tuple.  A failure
+    scans the edges to name the first bad one.  `restrict`, `join` and
+    `substitute` skip the checks: their colors come from checked
+    colorings, within the widest palette among their operands.
 
     The rows come from one of two builds with the same result.  The
     per-edge loop sets two bits per edge in Python.  The dense build
@@ -66,7 +74,7 @@ class EdgeColoring:
     as much as the dense build can save.
     """
 
-    __slots__ = ("n", "k", "_colors", "_masks", "_digest")
+    __slots__ = ("n", "k", "_colors", "_bytes", "_masks", "_digest")
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
         # ints proper: the checks below would let a float n or k through
@@ -75,27 +83,34 @@ class EdgeColoring:
         if exact_int(k, "k") < 1:
             raise ValueError(f"palette must have at least one color, got k={k}")
         m = n * (n - 1) // 2
+        data = colors if type(colors) is bytes else None
         colors = tuple(colors)
         if len(colors) != m:
             raise ValueError(f"expected {m} edge colors for n={n}, got {len(colors)}")
-        self.n = n
-        self.k = k
-        self._colors = colors
-        # built on first use and kept: the colour -> rows map and the digest
-        self._masks: dict[int, tuple[int, ...]] | None = None
-        self._digest: str | None = None
-        # type before range: bool is an int subclass, not a color, and
-        # min/max over mixed types would raise TypeError; the edge scan
-        # runs only to name the first offending edge
-        if colors and (
-            set(map(type, colors)) != {int} or min(colors) < 1 or max(colors) > k
-        ):
+        _fill(self, n, k, colors, data)
+        # bytes hold ints: deleting 1..k leaves only the bad colours.
+        # Otherwise type before range: bool is an int subclass, not a
+        # color, and min/max over mixed types would raise TypeError.  The
+        # edge scan runs only to name the first offending edge
+        if data is not None:
+            bad = bool(data.translate(None, bytes(range(1, min(k, 255) + 1))))
+        else:
+            bad = bool(colors) and (
+                set(map(type, colors)) != {int} or min(colors) < 1 or max(colors) > k
+            )
+        if bad:
             u, v, c = next(
                 (u, v, c)
                 for u, v, c in self.edges()
                 if type(c) is not int or not 1 <= c <= k
             )
             raise ValueError(f"edge ({u},{v}) has color {c!r}, not in 1..{k}")
+
+    def _color_bytes(self) -> bytes:
+        # the colours as one bytes object, made once and kept; only for k < 256
+        if self._bytes is None:
+            self._bytes = bytes(self._colors)
+        return self._bytes
 
     def _rows_by_color(self) -> dict[int, tuple[int, ...]]:
         if self._masks is None:
@@ -105,7 +120,7 @@ class EdgeColoring:
             # bytes hold colours up to 255; vertex 0's edges are a cheap
             # first look at whether too many colours are used
             if few > 0 and k < 256 and len(set(colors[: n - 1])) <= few:
-                data = bytes(colors)
+                data = self._color_bytes()
                 used = [c for c in range(1, k + 1) if c in data]
             if 0 < len(used) <= few:
                 self._masks = _dense_rows(n, data, used)
@@ -180,6 +195,22 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, k={self.k})"
 
 
+def _fill(
+    c: EdgeColoring, n: int, k: int, colors: tuple[int, ...], data: bytes | None
+) -> None:
+    c.n, c.k, c._colors, c._bytes = n, k, colors, data
+    # built on first use and kept: the colour -> rows map and the digest
+    c._masks = c._digest = None
+
+
+def _unchecked(n: int, k: int, colors: Iterable[int]) -> EdgeColoring:
+    # a coloring without the checks: only for operator results, whose
+    # colors all come from checked colorings with palettes within 1..k
+    c = object.__new__(EdgeColoring)
+    _fill(c, n, k, tuple(colors), None)
+    return c
+
+
 def _edge_rows(n: int, colors: Sequence[int]) -> dict[int, tuple[int, ...]]:
     # the per-edge loop: two row bits per edge
     masks: dict[int, list[int]] = {}
@@ -232,18 +263,26 @@ def _mask_of(c: EdgeColoring, vertices: Iterable[int], name: str) -> int:
     return mask
 
 
+def _operands(*colorings: EdgeColoring) -> None:
+    # the operators read the checked colours of their operands directly
+    for c in colorings:
+        if not isinstance(c, EdgeColoring):
+            raise TypeError(f"expected an EdgeColoring, got {type(c).__name__}")
+
+
 def restrict(c: EdgeColoring, vertices: Iterable[int]) -> EdgeColoring:
     """Induced subcoloring on the given vertices, relabeled 0..len-1.
 
     Relabeling preserves the ascending order of the chosen vertices.
     The declared palette is kept even if fewer colors survive.
     """
+    _operands(c)
     mask = _mask_of(c, vertices, "vertex set")
     vs = [v for v in range(c.n) if mask >> v & 1]
-    colors = c.edge_colors
+    colors = c._colors
     at = [edge_index(c.n, u, u + 1) - u - 1 for u in vs]  # at[i] + v is (vs[i], v)
     out = [colors[a + v] for i, a in enumerate(at) for v in vs[i + 1 :]]
-    return EdgeColoring(len(vs), c.k, out)
+    return _unchecked(len(vs), c.k, out)
 
 
 def join(c1: EdgeColoring, c2: EdgeColoring, fresh_color: int) -> EdgeColoring:
@@ -254,6 +293,7 @@ def join(c1: EdgeColoring, c2: EdgeColoring, fresh_color: int) -> EdgeColoring:
     across the two halves and is rejected.  This is `substitute` of
     (c1, c2) into the two-vertex quotient colored ``fresh_color``.
     """
+    _operands(c1, c2)
     if exact_int(fresh_color, "fresh_color") < 1:
         raise ValueError(f"colors are positive, got {fresh_color}")
     if fresh_color in c1.colors_used() or fresh_color in c2.colors_used():
@@ -273,6 +313,7 @@ def substitute(
     quotient colors must be disjoint from all part colors, so that the
     block structure stays recoverable from the result.
     """
+    _operands(quotient, *parts)
     p = quotient.n
     if len(parts) != p:
         raise ValueError(f"quotient has {p} vertices but {len(parts)} parts given")
@@ -290,13 +331,13 @@ def substitute(
         tail: list[int] = []
         for later in parts[i + 1 :]:
             tail += [next(qcolors)] * later.n
-        colors = part.edge_colors
+        colors = part._colors
         start = 0
         for width in range(part.n - 1, -1, -1):  # row u holds part.n-1-u edges
             out += colors[start : start + width]
             out += tail
             start += width
-    return EdgeColoring(sum(part.n for part in parts), k, out)
+    return _unchecked(sum(part.n for part in parts), k, out)
 
 
 def recolor(
@@ -342,7 +383,7 @@ def _color_text(c: EdgeColoring, row_end: str) -> str:
         # one digit per colour: the digits go at the even bytes of a
         # template whose odd bytes are the separators
         out = bytearray(b" ") * (2 * len(colors))
-        out[::2] = bytes(colors).translate(_DIGITS)
+        out[::2] = c._color_bytes().translate(_DIGITS)
         end = ord(row_end)
         pos = -1
         for width in range(n - 1, 0, -1):

@@ -48,6 +48,8 @@ _JSON_ERRORS = (ValueError, RecursionError)
 
 # the only characters that separate .grc tokens
 _BLANKS = " \t"
+# ASCII digit -> its value, the inverse of coloring._DIGITS
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 class FormatError(ValueError):
@@ -69,8 +71,12 @@ class ColoringDocument:
     version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {self.version}")
+        # what the readers reject: True == 1 and 1.0 == 1, but neither is
+        # version 1, and provenance is written as a JSON object
+        if type(self.version) is not int or self.version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {self.version!r}")
+        if self.provenance is not None and not isinstance(self.provenance, dict):
+            raise FormatError("provenance must be an object")
         if self.digest is not None and self.digest != canonical_digest(self.coloring):
             raise FormatError("digest does not match payload")
 
@@ -93,7 +99,7 @@ def render_text(doc: ColoringDocument) -> str:
     return "".join(parts)
 
 
-def _digit_tokens(line: str, lineno: int) -> list[str]:
+def _digit_tokens(line: str, lineno: int) -> tuple[list[str], str]:
     # ASCII digits separated by spaces and tabs: int() alone also takes a
     # sign, "_" and the digits of other scripts, and str.split() also
     # splits on the other Unicode spaces, which the count below catches.
@@ -105,7 +111,7 @@ def _digit_tokens(line: str, lineno: int) -> list[str]:
         raise FormatError(f"line {lineno}: {bad!r} is not an integer")
     if len(line) - len(joined) != line.count(" ") + line.count("\t"):
         raise FormatError(f"line {lineno}: tokens must be separated by spaces or tabs")
-    return tokens
+    return tokens, joined
 
 
 def _ints(tokens: list[str], lines: list[tuple[int, str]]) -> list[int]:
@@ -158,7 +164,7 @@ def parse_text(text: str) -> ColoringDocument:
     if not data_lines:
         raise FormatError("no header line")
     head_no, head = data_lines[0]
-    dims = _digit_tokens(head, head_no)
+    dims, _ = _digit_tokens(head, head_no)
     if len(dims) != 2:
         raise FormatError(f"line {head_no}: header must be 'n k'")
     n, k = _ints(dims, data_lines[:1])
@@ -167,15 +173,21 @@ def parse_text(text: str) -> ColoringDocument:
     rows = data_lines[1:]
     if len(rows) != max(n - 1, 0):
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
-    tokens: list[str] = []
+    pieces: list[str] = []  # each row's digits, joined
     for u, (lineno, line) in enumerate(rows):
-        row = _digit_tokens(line, lineno)
+        row, joined = _digit_tokens(line, lineno)
         if len(row) != n - 1 - u:
             raise FormatError(
                 f"line {lineno}: row {u} must list {n - 1 - u} colors, got {len(row)}"
             )
-        tokens += row
-    colors = _ints(tokens, rows)
+        pieces.append(joined)
+    # as many digits as tokens: each token is one digit, as render_text
+    # writes for k <= 9, and the colours are those digits as bytes
+    digits = "".join(pieces)
+    if len(digits) == n * (n - 1) // 2:
+        colors = digits.encode("ascii").translate(_DIGIT_VALUES)
+    else:
+        colors = _ints([t for _, line in rows for t in line.split()], rows)
     try:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:

@@ -112,6 +112,21 @@ def test_verify_color_scoped(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_color_outside_the_palette(tmp_path, capsys):
+    # find_mono treats an unused colour as empty; the command line reads a
+    # colour outside the document's 1..k as a mistake, before any check
+    path = str(tmp_path / "w4.grc")
+    assert run(capsys, "construct", "--k", "4", "--out", path)[0] == 0
+    argv = ("verify", "--in", path, "--pattern", "w4", "--color")
+    for color in ("99", "5", "0", "-1"):
+        for extra in ((), ("--gallai",)):
+            code, out, err = run(capsys, *argv, color, *extra)
+            assert code == 2 and out == ""
+            assert err == f"error: --color {color} is outside the palette 1..4\n"
+    code, out, _ = run(capsys, *argv, "4")
+    assert code == 0 and json.loads(out)["checks"][0]["color"] == 4
+
+
 def test_verify_notes_underused_palette(tmp_path, capsys):
     from gallai.construct import pentagon_coloring
 

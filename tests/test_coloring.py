@@ -19,6 +19,7 @@ from gallai import (
     edge_index,
     join,
     load_base14,
+    random_gallai,
     recolor,
     restrict,
     substitute,
@@ -126,6 +127,45 @@ def test_constructor_matches_per_edge_checker(n, k, data):
         assert str(exc.value) == want
 
 
+@given(st.integers(1, 7), st.integers(1, 6), st.data())
+@example(1, 1, None)
+def test_constructor_from_bytes_matches_list(n, k, data):
+    # bytes are checked by one translate; a leftover byte falls back to the
+    # edge scan, which names the same first bad edge as for a list
+    m = n * (n - 1) // 2
+    if data is None:
+        colors = []
+    else:
+        color = st.integers(1, k) | st.integers(0, k + 1) | st.just(255)
+        colors = data.draw(st.lists(color, min_size=m, max_size=m))
+    want = first_bad_color(n, k, colors)
+    if want is not None:
+        for form in (colors, bytes(colors)):
+            with pytest.raises(ValueError) as exc:
+                EdgeColoring(n, k, form)
+            assert str(exc.value) == want
+        return
+    c = EdgeColoring(n, k, bytes(colors))
+    ref = EdgeColoring(n, k, colors)
+    assert c == ref and type(c.edge_colors) is tuple
+    assert canonical_digest(c) == canonical_digest(ref)
+    assert _color_text(c, "\n") == _color_text(ref, "\n")
+    assert all(c.rows(i) == ref.rows(i) for i in range(k + 1))
+
+
+def test_constructor_from_bytes_past_255_colors():
+    assert EdgeColoring(3, 300, bytes([1, 255, 7])).edge_colors == (1, 255, 7)
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) has color 0, not in 1..300$"):
+        EdgeColoring(3, 300, bytes([255, 0, 1]))
+
+
+def assert_as_checked(r):
+    # an operator result is built without the colour checks; it must be the
+    # coloring the checked constructor builds from the same colours
+    again = EdgeColoring(r.n, r.k, list(r.edge_colors))
+    assert again == r and canonical_digest(again) == canonical_digest(r)
+
+
 def test_color_of_lookup_and_errors():
     c = EdgeColoring(3, 3, [1, 2, 3])
     assert c.color_of(0, 1) == 1
@@ -194,6 +234,7 @@ def test_restrict_relabels_ascending(c, data):
         ).map(sorted)
     )
     sub = restrict(c, verts)
+    assert_as_checked(sub)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             assert sub.color_of(i, j) == c.color_of(verts[i], verts[j])
@@ -254,6 +295,7 @@ def test_join_layout(pentagon):
 def test_join_size_and_palette(c1, c2):
     fresh = max(c1.k, c2.k) + 1
     j = join(c1, c2, fresh)
+    assert_as_checked(j)
     assert j.n == c1.n + c2.n
     assert j.k == fresh
     assert j.colors_used() == c1.colors_used() | c2.colors_used() | {fresh}
@@ -289,6 +331,7 @@ def test_substitute_blocks_and_cross_edges(data):
     quotient = data.draw(colorings(max_n=4, max_k=3))
     parts = [data.draw(colorings(max_n=4, max_k=3)) for _ in range(quotient.n)]
     whole = substitute(quotient, parts)
+    assert_as_checked(whole)
     sizes = [p.n for p in parts]
     assert whole.n == sum(sizes)
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
@@ -305,6 +348,44 @@ def test_substitute_blocks_and_cross_edges(data):
                 for u in range(offsets[i], offsets[i] + sizes[i])
                 for v in range(offsets[j], offsets[j] + sizes[j])
             )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operator_results_on_gallai_inputs_match_checked(seed):
+    rng = random.Random(seed)
+    c1, c2, c3 = (
+        random_gallai(rng.randint(1, 40), rng.randint(1, 7), seed * 3 + i)
+        for i in range(3)
+    )
+    quotient = EdgeColoring(3, 9, [rng.randint(1, 9) for _ in range(3)])
+    whole = substitute(quotient, [c1, c2, c3])
+    for r in (
+        whole,
+        join(c1, c2, 8),
+        restrict(whole, sorted(rng.sample(range(whole.n), rng.randint(1, whole.n)))),
+    ):
+        assert_as_checked(r)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_operator_results_on_the_tower_match_checked(k, base14):
+    tower, _ = build_lower_bound_witness(k, base14)  # substitute and join
+    assert_as_checked(tower)
+    assert_as_checked(restrict(tower, range(0, tower.n, 3)))
+    assert_as_checked(join(tower, base14, k + 1))
+    assert_as_checked(substitute(EdgeColoring(2, 1, [1]), [base14, tower]))
+
+
+def test_operators_take_colorings_only(pentagon):
+    # they read their operands' colours unchecked, so nothing else will do
+    for call in (
+        lambda: restrict([1], [0]),
+        lambda: substitute(pentagon, [pentagon, "x", pentagon, pentagon, pentagon]),
+        lambda: substitute(object(), [pentagon]),
+        lambda: join(pentagon, None, 3),
+    ):
+        with pytest.raises(TypeError, match="expected an EdgeColoring"):
+            call()
 
 
 def test_recolor_renames_and_merges(pentagon):

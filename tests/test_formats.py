@@ -108,6 +108,46 @@ def test_wide_palettes_and_loose_rows_round_trip():
     assert render_text(doc) == "# gallai coloring v1\n3 12\n1 12\n10\n"
 
 
+def test_both_row_readers_agree():
+    # rows of one-digit tokens become the colours' bytes in one pass; any
+    # other token (a leading zero, a colour of 10 or more) goes through the
+    # per-token table.  Which reader ran shows in the kept bytes, before
+    # anything else (a digest comment's check) fills them
+    rng = random.Random(13)
+    low = oracles.arbitrary_coloring(12, 6, seed=1)
+    wide_low = EdgeColoring(12, 12, [rng.randint(1, 9) for _ in range(66)])
+    wide = EdgeColoring(12, 12, [rng.randint(1, 12) for _ in range(66)])
+    canonical = render_text(ColoringDocument(low))
+    loose = canonical.replace(" ", "  \t ")
+    first = canonical.split("\n")[2].split(" ")[0]
+    zero = canonical.replace(f"\n{first} ", f"\n0{first} ", 1)
+    for text, c, as_bytes in (
+        (canonical, low, True),
+        (loose, low, True),
+        (zero, low, False),
+        (render_text(ColoringDocument(wide_low)), wide_low, True),
+        (render_text(ColoringDocument(wide)), wide, False),
+    ):
+        got = parse_text(text).coloring
+        assert (got._bytes is not None) == as_bytes
+        assert got == c and got.edge_colors == c.edge_colors
+        assert canonical_digest(got) == canonical_digest(c)
+        doc = parse_text(text + f"# digest: {canonical_digest(c)}\n")
+        assert render_text(doc) == render_text(ColoringDocument.sealed(c))
+    # a colour out of range is named the same way by either reader
+    for text, edge, color, k in (
+        ("3 2\n1 0\n1\n", "(0,2)", 0, 2),
+        ("3 2\n1 00\n1\n", "(0,2)", 0, 2),
+        ("3 2\n1 2\n3\n", "(1,2)", 3, 2),
+        ("3 2\n1 2\n03\n", "(1,2)", 3, 2),
+        ("3 12\n1 2\n0\n", "(1,2)", 0, 12),
+        ("3 12\n1 13\n0\n", "(0,2)", 13, 12),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_text(text)
+        assert str(exc.value) == f"edge {edge} has color {color}, not in 1..{k}"
+
+
 def test_integers_past_the_digit_limit_are_format_errors():
     # int() refuses strings of more than 4,300 digits with a ValueError;
     # leading zeros count
@@ -312,6 +352,21 @@ def test_document_constructor_validates_digest(pentagon):
         ColoringDocument(pentagon, digest="f" * 64)
     sealed = ColoringDocument.sealed(pentagon)
     assert sealed.digest == canonical_digest(pentagon)
+
+
+def test_document_constructor_rejects_what_the_readers_reject(pentagon):
+    # a version other than the int 1 and a provenance that is not an
+    # object would be written out and then refused on reading
+    for version in (1.0, True, 2, "1", None):
+        with pytest.raises(FormatError, match="unsupported format version"):
+            ColoringDocument(pentagon, version=version)
+    for provenance in ([1, 2], "a string", 5, ()):
+        with pytest.raises(FormatError, match="provenance must be an object"):
+            ColoringDocument(pentagon, provenance=provenance)
+        with pytest.raises(FormatError, match="provenance must be an object"):
+            ColoringDocument.sealed(pentagon, provenance)
+    doc = ColoringDocument(pentagon, provenance={}, version=1)
+    assert round_trip_text(doc) == doc and round_trip_json(doc) == doc
 
 
 def test_json_the_decoder_rejects_is_a_format_error():

@@ -116,18 +116,35 @@ def private_slots(tree: ast.Module, cls: str) -> set[str]:
     return {name for name in slots if name.startswith("_")}
 
 
+def referenced_names(node: ast.AST):
+    # an attribute, a bare name or a from-imported name
+    if isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+
+
 def test_only_coloring_reads_edge_coloring_private_slots():
-    # the rows and the digest are filled on first use by coloring.py's
-    # accessors; a direct read elsewhere could see an empty cache
+    # the colour bytes, the rows and the digest are filled on first use by
+    # coloring.py's accessors; a direct read elsewhere could see an empty
+    # cache.  The helpers that fill a coloring without the colour checks
+    # (and __new__, which would skip them too) are coloring.py's alone, so
+    # only its operators build a coloring that is not checked
     tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
     slots = private_slots(tree, "EdgeColoring")
-    assert {"_colors", "_masks", "_digest"} <= slots
+    assert {"_colors", "_bytes", "_masks", "_digest"} <= slots
+    builders = {"_unchecked", "_fill"}
+    assert builders <= {name for _, name in module_level_names(tree)}
+    private = slots | builders | {"__new__"}
     found = [
-        f"{path.name}:{node.lineno}: .{node.attr}"
+        f"{path.name}:{node.lineno}: {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "coloring.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in slots
+        for name in referenced_names(node)
+        if name in private
     ]
     assert not found, found
 
