@@ -107,6 +107,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.color is not None and not args.pattern:
+        raise ValueError("--color needs --pattern")
     doc = read_document(args.input, args.format)
     c = doc.coloring
     if args.color is not None and not 1 <= args.color <= c.k:

@@ -401,19 +401,21 @@ def cycle4_through(adj: Rows, u: int, v: int) -> bool:
 
 
 def wheel4_through(adj: Rows, u: int, v: int) -> bool:
-    bu, bv = 1 << u, 1 << v
-    mu, mv = adj[u], adj[v]
-    both = mu & mv
+    nu = adj[u] & ~(1 << v)
+    nv = adj[v] & ~(1 << u)
+    both = nu & nv
     if not both:  # every copy through (u, v) has a vertex seeing both
         return False
-    # u as hub: a 4-cycle through v inside N(u), rim neighbors a < b of
-    # v in `both`; then v as hub, symmetric
-    for hub_row, other in ((mu, bv), (mv, bu)):
+    if both & (both - 1):
+        # u as hub: rim v-a-x-b-v with a < b in `both` and x in N(u) - v;
+        # v as hub the same with x in N(v) - u.  So a hub copy needs two
+        # vertices in `both`, and one pass over a < b serves both hubs
+        hubs = nu | nv
         rest = both
         while rest:
             ba = rest & -rest
             rest ^= ba  # now the rim candidates above a
-            opp = adj[ba.bit_length() - 1] & hub_row & ~other
+            opp = adj[ba.bit_length() - 1] & hubs
             if opp:
                 later = rest
                 while later:
@@ -421,15 +423,15 @@ def wheel4_through(adj: Rows, u: int, v: int) -> bool:
                     if opp & adj[bb.bit_length() - 1]:
                         return True
                     later ^= bb
-    # (u, v) as a rim edge: hub h sees both, rim closes u-v-w-x-u
-    rest = both
-    while rest:
-        bh = rest & -rest
-        rest ^= bh
+    # (u, v) as a rim edge: hub h in `both`, rim u-v-w-x-u with w, x in
+    # N(h); a row has no bit of its own vertex, so N(h) leaves h out
+    while both:
+        bh = both & -both
+        both ^= bh
         ring = adj[bh.bit_length() - 1]
-        ws = mv & ring & ~bu & ~bh
+        ws = nv & ring
         if ws:
-            tail = mu & ring & ~bv & ~bh
+            tail = nu & ring
             while ws:
                 bw = ws & -ws
                 if adj[bw.bit_length() - 1] & tail:

@@ -35,8 +35,12 @@ Design notes, fixed for reproducibility:
   probing every color of every later edge after each move.
 * The walk is one loop over an explicit stack (colors tried, the
   ``colorSwap`` bound and the column's domains per position); it never
-  recurses.  The domains are one list per position, copied on each
-  move, so backtracking drops them.
+  recurses.  It writes each move straight into the `PartialColoring`'s
+  lists (the color, two row bits in that color, two ``assigned`` bits)
+  and takes it back the same way; `PartialColoring.assign` and
+  ``unassign`` are the checked API for every other caller.  The domains
+  are one list per position, copied on each move, so backtracking drops
+  them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -209,7 +213,7 @@ class PartialColoring:
     kernels need.
     """
 
-    __slots__ = ("task", "n", "k", "colors", "masks", "assigned", "_checks")
+    __slots__ = ("task", "n", "k", "colors", "masks", "assigned", "_rainbow", "_checks")
 
     def __init__(self, task: SearchTask):
         self.task = task
@@ -218,6 +222,7 @@ class PartialColoring:
         self.colors = [0] * (task.n * (task.n - 1) // 2)
         self.masks = [[0] * task.n for _ in range(task.k + 1)]
         self.assigned = [0] * task.n
+        self._rainbow = task.forbid_rainbow_triangle
         self._checks = tuple((scope, through_check(p)) for p, scope in task.forbidden)
 
     def color_at(self, u: int, v: int) -> int:
@@ -260,7 +265,7 @@ class PartialColoring:
         """Does the edge (u, v), colored ``color``, complete a forbidden
         structure?  Only structures through it count; it may be open."""
         adj = self.masks[color]
-        if self.task.forbid_rainbow_triangle and rainbow_thirds(
+        if self._rainbow and rainbow_thirds(
             self.masks, adj, u, v, self.assigned[u] & self.assigned[v]
         ):
             return True
@@ -329,6 +334,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
     n, k = task.n, task.k
     m = n * (n - 1) // 2
     order = [(u, v) for v in range(1, n) for u in range(v)]
+    index = [edge_index(n, u, v) for u, v in order]  # of order[pos] in pc.colors
     colorswap = task.symmetry in ("colorSwap", "vertexOrder")
     vertexorder = task.symmetry == "vertexOrder"
     rainbow = task.forbid_rainbow_triangle
@@ -346,7 +352,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
         stop_at = min(limit, nodes + (_RESTART_BASE << restart))
         pc = PartialColoring(task)
         conflict = pc.conflict
-        edge_colors = pc.colors
+        edge_colors, masks, assigned = pc.colors, pc.masks, pc.assigned
         tried = [0] * m  # colors of color_orders[pos] tried at pos
         max_used = [0] * (m + 1)  # largest color on the edges before pos
         # domains[pos][j]: bit c set iff (j, v) colored c completes no
@@ -366,7 +372,14 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                 tried[pos] = 0
                 pos -= 1
                 if pos >= 0:
-                    pc.unassign(*order[pos])
+                    u, v = order[pos]
+                    e = index[pos]
+                    row = masks[edge_colors[e]]
+                    edge_colors[e] = 0
+                    row[u] ^= 1 << v
+                    row[v] ^= 1 << u
+                    assigned[u] ^= 1 << v
+                    assigned[v] ^= 1 << u
                 continue
             if nodes >= stop_at:
                 break
@@ -377,7 +390,15 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             if not dom[u] >> c & 1:
                 prunes_conflict += 1
                 continue
-            pc.assign(u, v, c)
+            e = index[pos]
+            row = masks[c]
+            bu, bv = 1 << u, 1 << v
+            edge_colors[e] = c
+            row[u] |= bv
+            row[v] |= bu
+            assigned[u] |= bv
+            assigned[v] |= bu
+            ok = True
             if u + 1 < v:
                 # forward check: every later edge into v must keep an
                 # option.  Only color c's rows changed, so the patterns
@@ -385,32 +406,33 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                 # narrows (j, v) to {c, color(u, j)} for rainbow
                 nxt = dom[:]
                 bc = 1 << c
-                row = edge_index(n, u, u + 1) - u - 1  # edge_colors[row + j] is (u, j)
-                ok = True
+                base = e - v  # edge_colors[base + j] is (u, j)
                 for j in range(u + 1, v):
                     d = nxt[j]
                     if rainbow:
-                        x = edge_colors[row + j]
+                        x = edge_colors[base + j]
                         if x != c:
                             d &= bc | 1 << x
                     if d & bc and conflict(j, v, c):
                         d ^= bc
                     if not d:
                         ok = False
+                        prunes_lookahead += 1
                         break
                     nxt[j] = d
-                if not ok:
-                    prunes_lookahead += 1
-                    pc.unassign(u, v)
-                    continue
                 domains[pos + 1] = nxt
-            else:  # the column is complete
-                if vertexorder and not _canonical_ok(pc, order, v):
-                    prunes_canonical += 1
-                    pc.unassign(u, v)
-                    continue
-                if pos + 1 < m:
-                    domains[pos + 1] = _column_domains(conflict, base_order, v + 1)
+            elif vertexorder and not _canonical_ok(pc, order, v):
+                ok = False
+                prunes_canonical += 1
+            elif pos + 1 < m:  # the column is complete
+                domains[pos + 1] = _column_domains(conflict, base_order, v + 1)
+            if not ok:  # pruned: take the move back
+                edge_colors[e] = 0
+                row[u] ^= bv
+                row[v] ^= bu
+                assigned[u] ^= bv
+                assigned[v] ^= bu
+                continue
             max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
             pos += 1
         if pos == m or pos < 0 or nodes >= limit:

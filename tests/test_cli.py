@@ -127,6 +127,18 @@ def test_verify_color_outside_the_palette(tmp_path, capsys):
     assert code == 0 and json.loads(out)["checks"][0]["color"] == 4
 
 
+def test_verify_color_needs_a_pattern(tmp_path, capsys):
+    # --color scopes the pattern check; without a pattern it would be
+    # dropped while the other checks passed
+    from gallai.construct import pentagon_coloring
+
+    path = save(tmp_path, "p5.grc", pentagon_coloring())
+    for extra in (("--gallai",), ()):
+        code, out, err = run(capsys, "verify", "--in", path, *extra, "--color", "2")
+        assert code == 2 and out == ""
+        assert err == "error: --color needs --pattern\n"
+
+
 def test_verify_notes_underused_palette(tmp_path, capsys):
     from gallai.construct import pentagon_coloring
 

@@ -354,9 +354,12 @@ def test_through_edge_kernels_vs_brute_force():
     # the search-only kernels against an enumeration of every copy through
     # (u, v), on random dense rows and on sparse rows with one planted
     # wheel of each kind; the bit of (u, v) is random, since the kernels
-    # must not read it
+    # must not read it.  Each branch of wheel4_through is sampled: a wheel
+    # with one hub alone (each hub's neighbors found in the shared pass),
+    # and a rim wheel with one common neighbor of u and v, where no hub
+    # wheel fits and the hub pass is skipped
     rng = random.Random(2024)
-    seen = {"hub u": 0, "hub v": 0, "rim": 0, "none": 0}
+    seen = {"hub u": 0, "hub v": 0, "rim": 0, "rim, one common": 0, "none": 0}
     c4_answers = set()
     for trial in range(360):
         n = rng.randint(5, 12)
@@ -386,6 +389,9 @@ def test_through_edge_kernels_vs_brute_force():
             adj[v] &= ~(1 << u)
         cases = _brute_wheel4_cases(adj, u, v)
         assert wheel4_through(adj, u, v) == any(cases), (adj, u, v)
+        if bin(adj[u] & adj[v]).count("1") == 1:
+            assert cases[:2] == (False, False), (adj, u, v)
+            seen["rim, one common"] += cases[2]
         # count the samples where one case alone gives the wheel
         if sum(cases) == 1:
             seen[("hub u", "hub v", "rim")[cases.index(True)]] += 1
@@ -399,6 +405,23 @@ def test_through_edge_kernels_vs_brute_force():
         c4_answers.add(c4)
     assert min(seen.values()) >= 5, seen
     assert c4_answers == {True, False}
+
+
+def test_every_probe_is_a_partial_coloring_conflict_call(monkeypatch, base14):
+    # the benchmark counts probes by wrapping PartialColoring.conflict on
+    # the class; a probe that went round it would not be counted
+    calls = 0
+    conflict = PartialColoring.conflict
+
+    def counted(self, u, v, color):
+        nonlocal calls
+        calls += 1
+        return conflict(self, u, v, color)
+
+    monkeypatch.setattr(PartialColoring, "conflict", counted)
+    out = search_witness(SearchTask(n=14, k=2, forbidden=((W4, None),), seed=0))
+    assert out.witness == base14
+    assert (out.stats.nodes, calls) == (5147, 21415)
 
 
 def test_incremental_rainbow_vs_rescan():

@@ -102,7 +102,7 @@ def test_every_module_level_name_is_used():
     assert not dead, dead
 
 
-def private_slots(tree: ast.Module, cls: str) -> set[str]:
+def class_slots(tree: ast.Module, cls: str) -> set[str]:
     [body] = [
         node.body
         for node in tree.body
@@ -113,7 +113,7 @@ def private_slots(tree: ast.Module, cls: str) -> set[str]:
         for stmt in body
         if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__"
     ]
-    return {name for name in slots if name.startswith("_")}
+    return set(slots)
 
 
 def referenced_names(node: ast.AST):
@@ -133,7 +133,7 @@ def test_only_coloring_reads_edge_coloring_private_slots():
     # (and __new__, which would skip them too) are coloring.py's alone, so
     # only its operators build a coloring that is not checked
     tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
-    slots = private_slots(tree, "EdgeColoring")
+    slots = {s for s in class_slots(tree, "EdgeColoring") if s.startswith("_")}
     assert {"_colors", "_bytes", "_masks", "_digest"} <= slots
     builders = {"_unchecked", "_fill"}
     assert builders <= {name for _, name in module_level_names(tree)}
@@ -145,6 +145,49 @@ def test_only_coloring_reads_edge_coloring_private_slots():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         for name in referenced_names(node)
         if name in private
+    ]
+    assert not found, found
+
+
+def partial_coloring_writes(tree: ast.Module, state: set[str]):
+    # assignments through x.colors, x.masks[c] or x.masks[c][u], method
+    # calls on them, and names bound to them (which could be written later)
+    def reaches(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in state
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value]
+        else:
+            continue
+        if any(map(reaches, targets)) or (
+            isinstance(node, ast.Assign) and reaches(node.value)
+        ):
+            yield node.lineno
+
+
+def test_only_search_writes_partial_coloring_state():
+    # search_witness writes its moves straight into a PartialColoring's
+    # lists, without assign's checks; every other module goes through the
+    # checked assign and unassign, so the unchecked bookkeeping stays in
+    # search.py
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    state = {"colors", "masks", "assigned"}
+    assert state <= class_slots(tree, "PartialColoring")
+    assert list(partial_coloring_writes(tree, state))
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "search.py"
+        for lineno in partial_coloring_writes(
+            ast.parse(path.read_text(encoding="utf-8")), state
+        )
     ]
     assert not found, found
 
