@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -74,17 +75,21 @@ def parse_pattern(token: str) -> PatternSpec:
     raise ValueError(f"unknown pattern {token!r}")
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(doc: ColoringDocument, out: Optional[str], fmt: Optional[str]) -> None:
     if out:
         write_document(out, doc, fmt)
     elif (fmt or "grc") == "json":
-        print(json.dumps(render_json(doc), indent=2, sort_keys=True))
+        sys.stdout.write(_json(render_json(doc)))
     else:
         sys.stdout.write(render_text(doc))
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    sys.stdout.write(_json(obj))
 
 
 def cmd_construct(args) -> int:
@@ -151,7 +156,7 @@ def cmd_verify(args) -> int:
 def cmd_partition(args) -> int:
     doc = read_document(args.input, args.format)
     part = find_gallai_partition(doc.coloring)
-    payload = json.dumps(part.to_json(), indent=2, sort_keys=True) + "\n"
+    payload = _json(part.to_json())
     if args.out:
         Path(args.out).write_text(payload, encoding="ascii")
     else:
@@ -195,15 +200,12 @@ def cmd_search(args) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     task = _task_from_args(args)
     outcome = search_witness(task)
+    stats = outcome.stats
     report = {
+        **asdict(stats),
         "status": outcome.status,
-        "nodes": outcome.stats.nodes,
-        "prunes": outcome.stats.prunes,
-        "prunes_conflict": outcome.stats.prunes_conflict,
-        "prunes_lookahead": outcome.stats.prunes_lookahead,
-        "prunes_canonical": outcome.stats.prunes_canonical,
-        "restarts": outcome.stats.restarts,
-        "elapsed": round(outcome.stats.elapsed, 6),
+        "prunes": stats.prunes,
+        "elapsed": round(stats.elapsed, 6),
         "witness_digest": None,
     }
     if outcome.witness is not None:

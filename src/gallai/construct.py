@@ -25,7 +25,7 @@ from .coloring import (
     substitute,
 )
 from .detect import find_mono
-from .errors import PreconditionError
+from .errors import PreconditionError, exact_int
 from .patterns import PatternSpec
 from .trace import BaseTrace, BlowupTrace, ConstructionTrace, JoinTrace
 
@@ -133,9 +133,9 @@ def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:
     inside one block or meets at most the two quotient colors.
     Deterministic for a given (n, k, seed).
     """
-    if n < 1:
+    if exact_int(n, "n") < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    if k < 1:
+    if exact_int(k, "k") < 1:
         raise ValueError(f"palette must have at least one color, got k={k}")
     rng = random.Random(seed)
 

@@ -171,7 +171,7 @@ def parse_text(text: str) -> ColoringDocument:
     if n < 1 or k < 1:
         raise FormatError(f"line {head_no}: need n >= 1 and k >= 1, got {n} {k}")
     rows = data_lines[1:]
-    if len(rows) != max(n - 1, 0):
+    if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
     pieces: list[str] = []  # each row's digits, joined
     for u, (lineno, line) in enumerate(rows):
@@ -215,14 +215,12 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
         raise FormatError("top-level JSON value must be an object")
     if data.get("format") != "gallai-coloring":
         raise FormatError("missing or wrong 'format' tag")
-    version = data.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version!r}")
-    coloring = _read_payload(data)
-    provenance = data.get("provenance")
-    if provenance is not None and not isinstance(provenance, dict):
-        raise FormatError("provenance must be an object")
-    return ColoringDocument(coloring, data.get("digest"), provenance)
+    return ColoringDocument(
+        _read_payload(data),
+        data.get("digest"),
+        data.get("provenance"),
+        version=data.get("version"),
+    )
 
 
 def _write_payload(c: EdgeColoring) -> dict[str, Any]:

@@ -228,8 +228,6 @@ def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
     above v that fits.
     """
     classes = {col: c.rows(col) for col in c.colors_used()}
-    if len(classes) < 3:
-        return None
     every = tuple(classes.values())
     colors = c.edge_colors
     n = c.n

@@ -24,7 +24,8 @@ Design notes, fixed for reproducibility:
   `PartialColoring.conflict`.
 * The forward check keeps a color domain per edge (j, v) of the open
   column: the bitmask of colors that complete no forbidden structure.
-  On arriving at (0, v) every color of every (j, v) is probed once.
+  The loop opens column v on its first arrival at (0, v) going
+  forward, and only there: every color of every (j, v) is probed once.
   After a move (u, v) = c only color c's rows have changed, so each
   later (j, v) is probed in c alone, and only while c is in its domain;
   the rainbow constraint sees one new triangle (j, u, v), which narrows
@@ -36,11 +37,12 @@ Design notes, fixed for reproducibility:
 * The walk is one loop over an explicit stack (colors tried, the
   ``colorSwap`` bound and the column's domains per position); it never
   recurses.  It writes each move straight into the `PartialColoring`'s
-  lists (the color, two row bits in that color, two ``assigned`` bits)
-  and takes it back the same way; `PartialColoring.assign` and
-  ``unassign`` are the checked API for every other caller.  The domains
-  are one list per position, copied on each move, so backtracking drops
-  them.
+  lists (the color, two row bits in that color, two ``assigned`` bits);
+  `PartialColoring.assign` and ``unassign`` are the checked API for
+  every other caller.  A move is held, pruned or not, until the loop
+  comes back to its position, to try the next color or to backtrack
+  past it, and is taken back there, in one place.  The domains are one
+  list per position, copied on each move, so backtracking drops them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -223,7 +225,12 @@ class PartialColoring:
         self.masks = [[0] * task.n for _ in range(task.k + 1)]
         self.assigned = [0] * task.n
         self._rainbow = task.forbid_rainbow_triangle
-        self._checks = tuple((scope, through_check(p)) for p, scope in task.forbidden)
+        # _checks[c]: the through-edge checks of the patterns forbidden in c
+        checks = [(scope, through_check(p)) for p, scope in task.forbidden]
+        self._checks = tuple(
+            tuple(chk for scope, chk in checks if scope in (None, c))
+            for c in range(task.k + 1)
+        )
 
     def color_at(self, u: int, v: int) -> int:
         if u > v:
@@ -269,8 +276,8 @@ class PartialColoring:
             self.masks, adj, u, v, self.assigned[u] & self.assigned[v]
         ):
             return True
-        for scope, chk in self._checks:
-            if (scope is None or scope == color) and chk(adj, u, v):
+        for chk in self._checks[color]:
+            if chk(adj, u, v):
                 return True
         return False
 
@@ -359,27 +366,28 @@ def search_witness(task: SearchTask) -> SearchOutcome:
         # forbidden structure, given the edges before pos; (u, v) = order[pos]
         domains: list[list[int]] = [[]] * m
         pos = 0
-        if m:
-            domains[0] = _column_domains(conflict, base_order, 1)
         while 0 <= pos < m:
             u, v = order[pos]
+            e = index[pos]
+            bu, bv = 1 << u, 1 << v
+            c = edge_colors[e]
+            if c:  # back at a held move: take it back
+                row = masks[c]
+                edge_colors[e] = 0
+                row[u] ^= bv
+                row[v] ^= bu
+                assigned[u] ^= bv
+                assigned[v] ^= bu
+            i = tried[pos]
+            if i == 0 and u == 0:  # first arrival at (0, v): open column v
+                domains[pos] = _column_domains(conflict, base_order, v)
             colors = color_orders[pos]
             top = min(k, max_used[pos] + 1) if colorswap else k
-            i = tried[pos]
             while i < k and colors[i] > top:
                 i += 1
             if i == k:  # every color tried: back to the previous edge
                 tried[pos] = 0
                 pos -= 1
-                if pos >= 0:
-                    u, v = order[pos]
-                    e = index[pos]
-                    row = masks[edge_colors[e]]
-                    edge_colors[e] = 0
-                    row[u] ^= 1 << v
-                    row[v] ^= 1 << u
-                    assigned[u] ^= 1 << v
-                    assigned[v] ^= 1 << u
                 continue
             if nodes >= stop_at:
                 break
@@ -390,15 +398,12 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             if not dom[u] >> c & 1:
                 prunes_conflict += 1
                 continue
-            e = index[pos]
             row = masks[c]
-            bu, bv = 1 << u, 1 << v
             edge_colors[e] = c
             row[u] |= bv
             row[v] |= bu
             assigned[u] |= bv
             assigned[v] |= bu
-            ok = True
             if u + 1 < v:
                 # forward check: every later edge into v must keep an
                 # option.  Only color c's rows changed, so the patterns
@@ -416,22 +421,14 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                     if d & bc and conflict(j, v, c):
                         d ^= bc
                     if not d:
-                        ok = False
-                        prunes_lookahead += 1
                         break
                     nxt[j] = d
+                if not d:  # pruned; the move is taken back on return
+                    prunes_lookahead += 1
+                    continue
                 domains[pos + 1] = nxt
             elif vertexorder and not _canonical_ok(pc, order, v):
-                ok = False
                 prunes_canonical += 1
-            elif pos + 1 < m:  # the column is complete
-                domains[pos + 1] = _column_domains(conflict, base_order, v + 1)
-            if not ok:  # pruned: take the move back
-                edge_colors[e] = 0
-                row[u] ^= bv
-                row[v] ^= bu
-                assigned[u] ^= bv
-                assigned[v] ^= bu
                 continue
             max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
             pos += 1

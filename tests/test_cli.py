@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,13 +12,16 @@ from gallai import (
     EdgeColoring,
     Embedding,
     PatternSpec,
+    SearchStats,
     SearchTask,
     canonical_digest,
     join,
     read_document,
     recolor,
+    search_witness,
     write_document,
 )
+from gallai import cli
 from gallai.cli import main
 from gallai.construct import BASE14_DIGEST
 
@@ -231,6 +235,31 @@ def test_search_exhausted_exit_1(capsys):
     assert report["status"] == "exhausted"
     causes = ("prunes_conflict", "prunes_lookahead", "prunes_canonical")
     assert sum(report[cause] for cause in causes) == report["prunes"] > 0
+
+
+def test_search_report_is_the_search_stats(monkeypatch, capsys):
+    # the report is SearchStats as declared, plus the status, the prune
+    # total and the witness digest
+    outcomes = []
+
+    def recorded(task):
+        outcomes.append(search_witness(task))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "search_witness", recorded)
+    code, out, _ = run(capsys, "search", "--n", "5", "--k", "2", "--pattern", "k3")
+    assert code == 0
+    report = json.loads(out)
+    (outcome,) = outcomes
+    stats = outcome.stats
+    names = {field.name for field in dataclasses.fields(SearchStats)}
+    assert set(report) == names | {"status", "prunes", "witness_digest"}
+    for name in names - {"elapsed"}:
+        assert report[name] == getattr(stats, name), name
+    assert report["elapsed"] == round(stats.elapsed, 6)
+    assert report["prunes"] == stats.prunes
+    assert report["status"] == outcome.status == "witness"
+    assert report["witness_digest"] == canonical_digest(outcome.witness)
 
 
 def test_search_limit_exit_3(capsys):

@@ -154,6 +154,10 @@ def test_random_gallai_trivial_cases():
         random_gallai(0, 1, 0)
     with pytest.raises(ValueError):
         random_gallai(3, 0, 0)
+    # exact integers only: True is not one vertex, 3.0 is not three
+    for n, k in ((True, 2), (3.0, 2), (3, 2.0), (3, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_gallai(n, k, 0)
 
 
 def test_random_gallai_sweep_never_rainbow():

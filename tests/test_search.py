@@ -37,7 +37,7 @@ PATTERN_MENU = [
 ]
 # SHA-256 of test_search_counts_match_pinned_digest's rows
 PINNED_SEARCH_DIGEST = (
-    "8b31739731a1c812a1fd27fde9507324e0ce8c8c296719070fb59d77a43444a0"
+    "da2742e4ca8f2f16868ebeab3c1c0a64f9a9903a8d5972bcc6ca6b4b4ce8f939"
 )
 
 
@@ -519,17 +519,27 @@ def _pinned_matrix():
 
 
 def test_search_counts_match_pinned_digest(monkeypatch):
-    # status, node/prune/restart counts and witness digest of each task,
-    # at the default restart budget and at one small enough to restart
-    # most tasks many times
+    # status, node/prune/restart counts, witness digest and number of
+    # PartialColoring.conflict probes of each task, at the default restart
+    # budget and at one small enough to restart most tasks many times
+    calls = 0
+    conflict = PartialColoring.conflict
+
+    def counted(self, u, v, color):
+        nonlocal calls
+        calls += 1
+        return conflict(self, u, v, color)
+
+    monkeypatch.setattr(PartialColoring, "conflict", counted)
     rows = []
     for restart_base in (search_module._RESTART_BASE, 50):
         monkeypatch.setattr(search_module, "_RESTART_BASE", restart_base)
         for task in _pinned_matrix():
+            calls = 0
             out = search_witness(task)
             s = out.stats
             witness = out.witness and canonical_digest(out.witness)
-            rows.append([out.status, s.nodes, s.prunes, s.restarts, witness])
+            rows.append([out.status, s.nodes, s.prunes, s.restarts, witness, calls])
     statuses = {row[0] for row in rows}
     assert statuses == {"witness", "exhausted", "limit_reached"}
     assert sum(row[3] for row in rows) > 100

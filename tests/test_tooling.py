@@ -205,6 +205,26 @@ def test_only_patterns_and_kernels_read_pattern_kind():
     assert not found, found
 
 
+def test_cli_writes_json_in_one_place():
+    # every JSON text the CLI prints or writes comes from _json, so the
+    # indent, key order and final newline are chosen once
+    def dumps_calls(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps"
+        ]
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (writer,) = [
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_json"
+    ]
+    assert len(dumps_calls(tree)) == 1
+    assert dumps_calls(tree) == dumps_calls(writer)
+
+
 def library_modules():
     # the modules whose __all__ the package re-exports
     skip = {"__init__", "cli", "kernels"}
