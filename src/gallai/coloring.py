@@ -64,10 +64,11 @@ class EdgeColoring:
     The rows come from one of two builds with the same result.  The
     per-edge loop sets two bits per edge in Python.  The dense build
     writes the colors into an n x n byte matrix by slices, then for each
-    color used makes one ``translate`` and one ``int(row, 2)`` per vertex,
-    so its cost grows with the number of colors.  On random colorings it
-    is faster while at most about n / 10 colors are used (about 30 at
-    large n), and takes a fifth of the loop's time at n = 350 with six.
+    color used makes one ``translate`` of the whole matrix and one
+    ``int(row, 2)`` per vertex, so its cost grows with the number of
+    colors.  On random colorings it is faster while at most about n / 10
+    colors are used (about 30 at large n), and takes a fifth of the
+    loop's time at n = 350 with six.
     It runs when at most ``min(n - 20, 150) // 10`` colors are used, a
     margin below that, and k < 256, so that each color fits in a byte.
     Below n = 30 the loop always runs: there the choice would cost about
@@ -231,8 +232,8 @@ def _edge_rows(n: int, colors: Sequence[int]) -> dict[int, tuple[int, ...]]:
 def _dense_rows(n: int, data: bytes, used: list[int]) -> dict[int, tuple[int, ...]]:
     # the symmetric n x n matrix of colours (0 on the diagonal), reversed
     # so that int(..., 2), which reads its most significant digit first,
-    # puts vertex v at bit v of every row; each colour translates it a row
-    # at a time, so that no second copy of the matrix is held
+    # puts vertex v at bit v of every row; each colour translates the whole
+    # matrix once and cuts its rows from that copy
     grid = bytearray(n * n)
     start = 0
     for u in range(n - 1):
@@ -247,7 +248,8 @@ def _dense_rows(n: int, data: bytes, used: list[int]) -> dict[int, tuple[int, ..
         starts = range(n * n - n, -1, -n)  # row u starts at (n - 1 - u) * n
         # int(..., 2) sizes its result by the string's length and keeps the
         # leading zeros' room; "| 0" makes a right-sized copy
-        rows[c] = tuple(int(grid[i : i + n].translate(table), 2) | 0 for i in starts)
+        ones = grid.translate(table)
+        rows[c] = tuple(int(ones[i : i + n], 2) | 0 for i in starts)
     return rows
 
 
@@ -348,7 +350,9 @@ def recolor(
     ``k`` sets the declared palette of the result and defaults to the
     smallest palette containing every resulting color and c.k.
     """
-    for value in mapping.values():
+    # ints proper on both sides: True and 1.0 are equal to 1 as keys too
+    for key, value in mapping.items():
+        exact_int(key, "renamed color")
         exact_int(value, "mapped color")
     out = [mapping.get(col, col) for col in c.edge_colors]
     if any(col < 1 for col in out):

@@ -175,12 +175,19 @@ def parse_text(text: str) -> ColoringDocument:
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
     pieces: list[str] = []  # each row's digits, joined
     for u, (lineno, line) in enumerate(rows):
-        row, joined = _digit_tokens(line, lineno)
-        if len(row) != n - 1 - u:
+        # one digit, one space, ...: the row render_text writes for k <= 9,
+        # whose digits are its even characters.  Any other row is split
+        digits, seps = line[::2], line[1::2]
+        if seps.count(" ") == len(seps) and digits.isascii() and digits.isdigit():
+            count = len(digits)
+        else:
+            tokens, digits = _digit_tokens(line, lineno)
+            count = len(tokens)
+        if count != n - 1 - u:
             raise FormatError(
-                f"line {lineno}: row {u} must list {n - 1 - u} colors, got {len(row)}"
+                f"line {lineno}: row {u} must list {n - 1 - u} colors, got {count}"
             )
-        pieces.append(joined)
+        pieces.append(digits)
     # as many digits as tokens: each token is one digit, as render_text
     # writes for k <= 9, and the colours are those digits as bytes
     digits = "".join(pieces)

@@ -79,16 +79,32 @@ def cycle4_within(adj: Rows, mask: int) -> Optional[tuple[int, int, int, int]]:
     """First 4-cycle (a, x, b, y) inside ``mask``, or None.
 
     Opposite corners a < b ascend as pairs; x < y are the two least
-    common neighbors of a and b in the mask.
+    common neighbors of a and b in the mask.  A corner's partner is found
+    in one pass over its neighbors x in the mask: ``seen`` collects the
+    vertices above a that some x sees, ``twice`` those that two or more
+    see, so the least vertex of ``twice`` is the least b with two common
+    neighbors.  The work per corner is its degree in the mask.
     """
-    for a in bits(mask):
+    rest = mask
+    while rest:
+        ba = rest & -rest
+        a = ba.bit_length() - 1
+        rest ^= ba  # now the mask above a
         na = adj[a] & mask
-        if na.bit_count() < 2:  # common is inside na: no cycle has a here
+        if not na & (na - 1):  # common is inside na: no cycle has a here
             continue
-        for b in bits(mask & above(a)):
+        seen = twice = 0
+        xs = na
+        while xs:
+            bx = xs & -xs
+            t = adj[bx.bit_length() - 1] & rest
+            twice |= seen & t
+            seen |= t
+            xs ^= bx
+        if twice:
+            b = least(twice)
             common = na & adj[b]
-            if common.bit_count() >= 2:
-                return a, least(common), b, least(common & (common - 1))
+            return a, least(common), b, least(common & (common - 1))
     return None
 
 
@@ -158,7 +174,11 @@ def wheel_within(adj: Rows, mask: int, m: int) -> Optional[tuple[int, ...]]:
     cycle's least vertex s, all others above s."""
     rim = plan(m, [(j, (j + 1) % m) for j in range(m)], range(m))[1:]
     host = [0] * m
-    for hub in bits(mask):
+    hubs = mask
+    while hubs:
+        bh = hubs & -hubs
+        hubs ^= bh
+        hub = bh.bit_length() - 1
         ring = adj[hub] & mask
         if ring.bit_count() < m:
             continue

@@ -103,7 +103,10 @@ def _normalize_parts(c: EdgeColoring, partition: PartitionLike):
     parts = []
     seen = 0
     for idx, raw in enumerate(partition):
-        mask = _mask_of(c, raw, f"part {idx}")
+        members = tuple(raw)  # read once: it may be an iterator
+        mask = _mask_of(c, members, f"part {idx}")
+        if mask.bit_count() < len(members):
+            raise ValueError(f"part {idx} lists a vertex twice")
         if mask & seen:
             raise ValueError(f"part {idx} overlaps an earlier part")
         seen |= mask

@@ -276,6 +276,10 @@ def test_composition_colors_are_ints(pentagon):
     # an unused key is checked too
     with pytest.raises(ValueError, match="mapped color must be an integer"):
         recolor(pentagon, {7: "x"})
+    # and so are the keys: True and 1.0 look up as color 1
+    for bad in (True, 1.0, "x", None):
+        with pytest.raises(ValueError, match="renamed color must be an integer"):
+            recolor(pentagon, {bad: 2})
 
 
 def test_join_layout(pentagon):

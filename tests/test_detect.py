@@ -23,6 +23,7 @@ from gallai.kernels import (
     gallai_split,
     rainbow_free,
     rainbow_within,
+    wheel_within,
 )
 
 W4 = PatternSpec.wheel(4)
@@ -144,32 +145,77 @@ def test_gallai_split_decides_rainbow_inside_masks(near_gallai):
     assert min(seen.values()) >= 30, seen
 
 
-def _first_cycle4(c, color, mask):
+def _color_nbrs(c, color):
+    # v -> the set of v's neighbors in color, by color_of
+    nbrs = {v: set() for v in range(c.n)}
+    for u in range(c.n):
+        for v in range(u + 1, c.n):
+            if c.color_of(u, v) == color:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    return nbrs
+
+
+def _first_cycle4(nbrs, mask):
     # documented order: a < b ascending, then the two least common neighbors
-    vs = [v for v in range(c.n) if mask >> v & 1]
+    vs = [v for v in sorted(nbrs) if mask >> v & 1]
     for i, a in enumerate(vs):
         for b in vs[i + 1 :]:
-            common = [
-                x for x in vs
-                if x not in (a, b)
-                and c.color_of(a, x) == color and c.color_of(b, x) == color
-            ]
+            common = sorted(nbrs[a] & nbrs[b] & set(vs))
             if len(common) >= 2:
                 return a, common[0], b, common[1]
     return None
 
 
+def _first_wheel4(nbrs, mask):
+    # documented order: hubs ascending, then the first 4-cycle in the ring
+    for hub in sorted(nbrs):
+        if mask >> hub & 1:
+            ring = sum(1 << v for v in nbrs[hub] if mask >> v & 1)
+            cyc = _first_cycle4(nbrs, ring)
+            if cyc is not None:
+                return (*cyc, hub)
+    return None
+
+
 def test_cycle4_within_returns_first_cycle_in_documented_order():
+    # up to n = 24 and three colors, so that a corner often has several
+    # partners b with two common neighbors, and the least must be taken
     rng = random.Random(43)
-    hits = misses = 0
+    hits = misses = several = 0
     for trial in range(120):
-        n = rng.randint(1, 10)
-        k = rng.randint(1, 4)
+        n = rng.randint(1, 24)
+        k = rng.randint(1, 3)
         c = oracles.arbitrary_coloring(n, k, trial * 53 + 11)
         for color in range(1, k + 1):
+            nbrs = _color_nbrs(c, color)
             for mask in _random_masks(rng, n):
-                want = _first_cycle4(c, color, mask)
+                want = _first_cycle4(nbrs, mask)
                 assert cycle4_within(c.rows(color), mask) == want
+                hits += want is not None
+                misses += want is None
+                if want is not None:
+                    a = want[0]
+                    inside = {v for v in nbrs if mask >> v & 1}
+                    partners = [
+                        b for b in inside if b > a and len(nbrs[a] & nbrs[b] & inside) >= 2
+                    ]
+                    several += len(partners) >= 2
+    assert hits > 100 and misses > 100 and several > 100
+
+
+def test_wheel_within_w4_matches_brute_force():
+    rng = random.Random(59)
+    hits = misses = 0
+    for trial in range(100):
+        n = rng.randint(1, 20)
+        k = rng.randint(1, 3)
+        c = oracles.arbitrary_coloring(n, k, trial * 37 + 5)
+        for color in range(1, k + 1):
+            nbrs = _color_nbrs(c, color)
+            for mask in _random_masks(rng, n):
+                want = _first_wheel4(nbrs, mask)
+                assert wheel_within(c.rows(color), mask, 4) == want
                 hits += want is not None
                 misses += want is None
     assert hits > 100 and misses > 100

@@ -20,6 +20,7 @@ from gallai import (
     render_text,
     write_document,
 )
+from gallai import formats as formats_module
 
 PENTAGON_EDGES = render_json(ColoringDocument(pentagon_coloring()))["edges"]
 
@@ -175,6 +176,45 @@ def test_comments_and_blank_lines_tolerated():
     assert doc.coloring.n == 3
     assert doc.coloring.color_of(0, 2) == 2
     assert doc.digest is None and doc.provenance is None
+
+
+def test_one_digit_rows_read_like_loose_rows(monkeypatch):
+    # a row of one digit, one space, ... is read without splitting it into
+    # tokens; the same rows with tabs and runs of spaces are split, and
+    # both give the same document and the same messages
+    split = []
+    real = formats_module._digit_tokens
+    monkeypatch.setattr(
+        formats_module, "_digit_tokens", lambda line, no: split.append(no) or real(line, no)
+    )
+    rng = random.Random(17)
+    for n, k in ((2, 1), (3, 2), (8, 5), (30, 9)):
+        c = oracles.arbitrary_coloring(n, k, rng.randint(0, 99))
+        doc = ColoringDocument.sealed(c)
+        text = render_text(doc)
+        lines = text.split("\n")
+        for i in range(2, n + 1):  # the rows
+            lines[i] = lines[i].replace(" ", rng.choice(("  ", "\t", " \t ")))
+        split.clear()
+        assert parse_text(text) == doc
+        assert split == [2]  # the header only
+        split.clear()
+        assert parse_text("\n".join(lines)) == doc
+        assert len(split) == n - 1  # the header and the n - 2 rows of two or more
+    for one, loose, message in (
+        ("3 2\n1 2 1\n1\n", "3 2\n1  2\t1\n1\n", "row 0 must list 2 colors, got 3"),
+        ("3 2\n1\n1\n", "3 2\n\t1  \n1\n", "row 0 must list 2 colors, got 1"),
+        ("3 2\n1 x\n1\n", "3 2\n1\tx\n1\n", "'x' is not an integer"),
+    ):
+        for text in (one, loose):
+            with pytest.raises(FormatError) as exc:
+                parse_text(text)
+            assert str(exc.value) == f"line 2: {message}"
+    # a multi-digit token keeps the token path, whatever its row looks like
+    split.clear()
+    doc = parse_text("3 12\n12 1\n1\n")
+    assert doc.coloring.edge_colors == (12, 1, 1)
+    assert split == [1, 2]
 
 
 @pytest.mark.parametrize(

@@ -301,6 +301,18 @@ def test_reduced_graph_rejects_invalid(pentagon):
         reduced_graph(pentagon, [[0, 1], [2, 3, 4]])
 
 
+def test_partition_part_listing_a_vertex_twice_is_rejected():
+    c = random_gallai(12, 3, 5)
+    parts = [list(part) for part in find_gallai_partition(c).parts]
+    assert verify_gallai_partition(c, parts).ok
+    # a part may be any iterable, read once
+    assert verify_gallai_partition(c, [iter(part) for part in parts]).ok
+    parts[0].append(parts[0][0])
+    for check in (verify_gallai_partition, reduced_graph):
+        with pytest.raises(ValueError, match="part 0 lists a vertex twice"):
+            check(c, parts)
+
+
 def test_peel_monochromatic_clique():
     seq = peel_apex_sequence(mono(6))
     assert seq.entries == tuple((v, 1) for v in range(5))

@@ -205,6 +205,26 @@ def test_only_patterns_and_kernels_read_pattern_kind():
     assert not found, found
 
 
+def test_hot_kernels_walk_masks_inline():
+    # the 4-cycle scan runs once per hub of every W4 scan and the checks
+    # once per search probe; the bits generator would cost a frame per mask
+    hot = {"cycle4_within", "path3_through", "cycle4_through", "wheel4_through"}
+    tree = ast.parse((PACKAGE / "kernels.py").read_text(encoding="utf-8"))
+    kernels = [
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in hot
+    ]
+    assert {fn.name for fn in kernels} == hot
+    found = [
+        f"{fn.name}:{node.lineno}: bits()"
+        for fn in kernels
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "bits"
+    ]
+    assert not found, found
+
+
 def test_cli_writes_json_in_one_place():
     # every JSON text the CLI prints or writes comes from _json, so the
     # indent, key order and final newline are chosen once
