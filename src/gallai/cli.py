@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -202,7 +201,7 @@ def cmd_search(args) -> int:
     outcome = search_witness(task)
     stats = outcome.stats
     report = {
-        **asdict(stats),
+        **{name: getattr(stats, name) for name in stats.__slots__},
         "status": outcome.status,
         "prunes": stats.prunes,
         "elapsed": round(stats.elapsed, 6),

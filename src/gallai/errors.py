@@ -1,4 +1,7 @@
-"""Exception types and input checks shared across the package."""
+"""Exception types, input checks and the immutable record base shared
+across the package."""
+
+from operator import attrgetter
 
 __all__ = ["PreconditionError"]
 
@@ -18,3 +21,49 @@ def exact_int(value: object, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    and its ``__init__`` checks the arguments and stores each with
+    ``object.__setattr__``; a record has two or more fields, its
+    parent's first.  Two records are equal when they are of the same
+    class and their fields are equal; a record hashes as the tuple of
+    its fields, prints as ``Name(field=value, ...)`` and raises
+    AttributeError on assignment or deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        inherited = getattr(cls, "__match_args__", ())
+        cls.__match_args__ = inherited + cls.__dict__.get("__slots__", ())
+        # the tuple of all fields, read in one call
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values(self))
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks again; the
+        # default would set each slot through __setattr__, which refuses
+        return type(self), self._values(self)

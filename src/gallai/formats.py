@@ -21,11 +21,11 @@ Any malformed input raises :class:`FormatError`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from .coloring import EdgeColoring, _color_text, canonical_digest, edge_index
+from .errors import _Record
 
 __all__ = [
     "FORMAT_VERSION",
@@ -56,29 +56,63 @@ class FormatError(ValueError):
     """Input that does not satisfy the documented file format."""
 
 
-@dataclass(frozen=True)
-class ColoringDocument:
+def _reads_back(value: Any) -> bool:
+    # whether json.loads(json.dumps(value)) == value: objects with string
+    # keys, lists (a tuple reads back as a list), strings, ints, bools,
+    # None and floats other than NaN.  A cycle, which json.dumps refuses,
+    # recurses until RecursionError
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return False
+        value = value.values()
+    elif not isinstance(value, list):
+        return (
+            value is None
+            or isinstance(value, (str, int))
+            or (isinstance(value, float) and value == value)
+        )
+    for item in value:
+        if not (item is None or isinstance(item, (str, int)) or _reads_back(item)):
+            return False
+    return True
+
+
+class ColoringDocument(_Record):
     """A coloring plus optional integrity digest and provenance record.
 
-    ``provenance`` is an opaque JSON-able dict (a construction trace or
-    a search task reference).  When ``digest`` is set it must match the
-    payload; the constructor enforces this.
+    ``provenance`` is a JSON object (a construction trace or a search
+    task reference) that reads back unchanged.  When ``digest`` is set it
+    must match the payload.  The constructor enforces both.
     """
 
-    coloring: EdgeColoring
-    digest: Optional[str] = None
-    provenance: Optional[dict[str, Any]] = None
-    version: int = FORMAT_VERSION
+    __slots__ = ("coloring", "digest", "provenance", "version")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        coloring: EdgeColoring,
+        digest: Optional[str] = None,
+        provenance: Optional[dict[str, Any]] = None,
+        version: int = FORMAT_VERSION,
+    ):
         # what the readers reject: True == 1 and 1.0 == 1, but neither is
         # version 1, and provenance is written as a JSON object
-        if type(self.version) is not int or self.version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {self.version!r}")
-        if self.provenance is not None and not isinstance(self.provenance, dict):
-            raise FormatError("provenance must be an object")
-        if self.digest is not None and self.digest != canonical_digest(self.coloring):
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version!r}")
+        if provenance is not None:
+            if not isinstance(provenance, dict):
+                raise FormatError("provenance must be an object")
+            try:
+                exact = _reads_back(provenance)
+            except RecursionError:
+                exact = False
+            if not exact:
+                raise FormatError("provenance does not read back unchanged from JSON")
+        if digest is not None and digest != canonical_digest(coloring):
             raise FormatError("digest does not match payload")
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "version", version)
 
     @classmethod
     def sealed(

@@ -8,10 +8,9 @@ pattern occurs at specific host vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from .errors import exact_int
+from .errors import _Record, exact_int
 from .kernels import plan
 
 if TYPE_CHECKING:
@@ -62,8 +61,7 @@ def _edges_of(kind: str, order: int, edges: Iterable[tuple[int, int]] = ()):
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(_Record):
     """A small target graph on vertices 0..order-1.
 
     ``kind`` is one of ``wheel``, ``path3``, ``cycle4``, ``clique``,
@@ -74,17 +72,18 @@ class PatternSpec:
     constructor accepts exactly what a classmethod builds.
     """
 
-    kind: str
-    order: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("kind", "order", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, order: int, edges: tuple[tuple[int, int], ...]):
         try:
-            want = _edges_of(self.kind, self.order, self.edges)
+            want = _edges_of(kind, order, edges)
         except TypeError as exc:
             raise ValueError(f"malformed pattern edges: {exc!r}") from exc
-        if want != self.edges:
-            raise ValueError(f"not the edges of {self.kind!r} on {self.order} vertices")
+        if want != edges:
+            raise ValueError(f"not the edges of {kind!r} on {order} vertices")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def wheel(cls, m: int) -> "PatternSpec":
@@ -153,8 +152,7 @@ class PatternSpec:
         raise ValueError(f"unknown pattern kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Record):
     """Where a pattern sits in a host coloring.
 
     ``vertex_map[i]`` is the host vertex playing pattern vertex i.
@@ -163,9 +161,14 @@ class Embedding:
     edge colors).
     """
 
-    pattern: PatternSpec
-    color: Optional[int]
-    vertex_map: tuple[int, ...]
+    __slots__ = ("pattern", "color", "vertex_map")
+
+    def __init__(
+        self, pattern: PatternSpec, color: Optional[int], vertex_map: tuple[int, ...]
+    ):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "vertex_map", vertex_map)
 
     def check(self, c: "EdgeColoring") -> bool:
         """Re-validate against the host from scratch."""

@@ -64,13 +64,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import count
 from typing import Any, Optional
 
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
-from .errors import exact_int
+from .errors import _Record, exact_int
 from .kernels import rainbow_thirds, through_check
 from .patterns import PatternSpec
 
@@ -92,8 +91,7 @@ _RESTART_BASE = 250_000
 _SYMMETRIES = ("none", "colorSwap", "vertexOrder")
 
 
-@dataclass(frozen=True)
-class SearchTask:
+class SearchTask(_Record):
     """What to search for.  Immutable and JSON-serializable.
 
     ``forbidden`` lists (pattern, color) pairs; color None means the
@@ -102,41 +100,60 @@ class SearchTask:
     Fields are type-checked, never coerced.
     """
 
-    n: int
-    k: int
-    forbidden: tuple[tuple[PatternSpec, Optional[int]], ...] = ()
-    forbid_rainbow_triangle: bool = False
-    symmetry: str = "colorSwap"
-    node_limit: int = DEFAULT_NODE_LIMIT
-    seed: int = 0
+    __slots__ = (
+        "n",
+        "k",
+        "forbidden",
+        "forbid_rainbow_triangle",
+        "symmetry",
+        "node_limit",
+        "seed",
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("n", "k", "node_limit", "seed"):
-            exact_int(getattr(self, name), name)
-        if type(self.forbid_rainbow_triangle) is not bool:
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        forbidden: tuple[tuple[PatternSpec, Optional[int]], ...] = (),
+        forbid_rainbow_triangle: bool = False,
+        symmetry: str = "colorSwap",
+        node_limit: int = DEFAULT_NODE_LIMIT,
+        seed: int = 0,
+    ):
+        exact_int(n, "n")
+        exact_int(k, "k")
+        exact_int(node_limit, "node_limit")
+        exact_int(seed, "seed")
+        if type(forbid_rainbow_triangle) is not bool:
             raise ValueError("forbid_rainbow_triangle must be a bool")
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        if self.k < 1:
-            raise ValueError(f"palette must have at least one color, got k={self.k}")
-        if self.node_limit < 1:
-            raise ValueError(f"node limit must be positive, got {self.node_limit}")
-        if self.symmetry not in _SYMMETRIES:
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        if k < 1:
+            raise ValueError(f"palette must have at least one color, got k={k}")
+        if node_limit < 1:
+            raise ValueError(f"node limit must be positive, got {node_limit}")
+        if symmetry not in _SYMMETRIES:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
         norm = []
-        for pattern, scope in self.forbidden:
+        for pattern, scope in forbidden:
             if not isinstance(pattern, PatternSpec):
                 raise ValueError(f"not a pattern: {pattern!r}")
             if scope is not None:
-                if not 1 <= exact_int(scope, "pattern color") <= self.k:
-                    raise ValueError(f"pattern color {scope} outside 1..{self.k}")
-                if self.symmetry != "none":
+                if not 1 <= exact_int(scope, "pattern color") <= k:
+                    raise ValueError(f"pattern color {scope} outside 1..{k}")
+                if symmetry != "none":
                     raise ValueError(
                         "color-scoped patterns need symmetry='none'; color "
                         "relabeling does not preserve them"
                     )
             norm.append((pattern, scope))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "forbidden", tuple(norm))
+        object.__setattr__(self, "forbid_rainbow_triangle", forbid_rainbow_triangle)
+        object.__setattr__(self, "symmetry", symmetry)
+        object.__setattr__(self, "node_limit", node_limit)
+        object.__setattr__(self, "seed", seed)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -172,8 +189,7 @@ class SearchTask:
             raise ValueError(f"malformed task JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(_Record):
     """Node accounting.  ``nodes`` counts attempted color assignments;
     ``prunes`` the attempts rejected, by cause: the edge's own color
     completes a forbidden structure (``prunes_conflict``), a later edge
@@ -181,30 +197,66 @@ class SearchStats:
     completed column is not in canonical form (``prunes_canonical``).
     All are deterministic per task; ``elapsed`` (seconds) is not."""
 
-    nodes: int
-    prunes_conflict: int
-    prunes_lookahead: int
-    prunes_canonical: int
-    restarts: int
-    elapsed: float
+    __slots__ = (
+        "nodes",
+        "prunes_conflict",
+        "prunes_lookahead",
+        "prunes_canonical",
+        "restarts",
+        "elapsed",
+    )
+
+    def __init__(
+        self,
+        nodes: int,
+        prunes_conflict: int,
+        prunes_lookahead: int,
+        prunes_canonical: int,
+        restarts: int,
+        elapsed: float,
+    ):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "prunes_conflict", prunes_conflict)
+        object.__setattr__(self, "prunes_lookahead", prunes_lookahead)
+        object.__setattr__(self, "prunes_canonical", prunes_canonical)
+        object.__setattr__(self, "restarts", restarts)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def prunes(self) -> int:
         return self.prunes_conflict + self.prunes_lookahead + self.prunes_canonical
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str  # "witness" | "exhausted" | "limit_reached"
-    witness: Optional[EdgeColoring]
-    stats: SearchStats
+class SearchOutcome(_Record):
+    """What `search_witness` found, and the effort it took."""
+
+    __slots__ = ("status", "witness", "stats")
+
+    def __init__(
+        self,
+        status: str,  # "witness" | "exhausted" | "limit_reached"
+        witness: Optional[EdgeColoring],
+        stats: SearchStats,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "stats", stats)
 
 
-@dataclass(frozen=True)
-class UnavoidableOutcome:
-    status: str  # "confirmed" | "counterexample" | "too_large"
-    counterexample: Optional[EdgeColoring]
-    stats: SearchStats
+class UnavoidableOutcome(_Record):
+    """What `verify_unavoidable` concluded, and the search effort behind it."""
+
+    __slots__ = ("status", "counterexample", "stats")
+
+    def __init__(
+        self,
+        status: str,  # "confirmed" | "counterexample" | "too_large"
+        counterexample: Optional[EdgeColoring],
+        stats: SearchStats,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "stats", stats)
 
 
 class PartialColoring:

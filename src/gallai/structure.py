@@ -13,12 +13,11 @@ joined to everything below them in a single color.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .coloring import EdgeColoring, _mask_of
 from .detect import find_mono, find_rainbow_triangle
-from .errors import PreconditionError, exact_int
+from .errors import PreconditionError, _Record, exact_int
 from .formats import _write_payload
 from .kernels import (
     bits,
@@ -46,14 +45,21 @@ __all__ = [
 _WHEEL4 = PatternSpec.wheel(4)
 
 
-@dataclass(frozen=True)
-class GallaiPartition:
+class GallaiPartition(_Record):
     """Parts (largest first, ties by least vertex), their cross colors,
     and the reduced coloring with one vertex per part."""
 
-    parts: tuple[tuple[int, ...], ...]
-    cross_colors: frozenset[int]
-    reduced: EdgeColoring
+    __slots__ = ("parts", "cross_colors", "reduced")
+
+    def __init__(
+        self,
+        parts: tuple[tuple[int, ...], ...],
+        cross_colors: frozenset[int],
+        reduced: EdgeColoring,
+    ):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "cross_colors", cross_colors)
+        object.__setattr__(self, "reduced", reduced)
 
     @property
     def p(self) -> int:
@@ -68,24 +74,30 @@ class GallaiPartition:
         }
 
 
-@dataclass(frozen=True)
-class PartitionCheck:
+class PartitionCheck(_Record):
     """Outcome of verifying a claimed partition."""
 
-    ok: bool
-    violations: tuple[str, ...]
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ApexSequence:
+class ApexSequence(_Record):
     """Vertices peeled one at a time, each monochromatically complete
     to everything not yet peeled; ``remainder`` is what is left."""
 
-    entries: tuple[tuple[int, int], ...]
-    remainder: tuple[int, ...]
+    __slots__ = ("entries", "remainder")
+
+    def __init__(
+        self, entries: tuple[tuple[int, int], ...], remainder: tuple[int, ...]
+    ):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "remainder", remainder)
 
     def to_json(self) -> dict:
         return {

@@ -7,11 +7,10 @@ rebuilding the object.  Traces serialize to plain JSON dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Union
 
 from .coloring import EdgeColoring
-from .errors import exact_int
+from .errors import _Record, exact_int
 from .formats import _read_payload, _write_payload
 
 __all__ = [
@@ -25,35 +24,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseTrace:
+class BaseTrace(_Record):
     """A leaf: a concrete coloring identified by its digest."""
 
-    label: str
-    digest: str
-    size: int
-    colors: tuple[int, ...]
+    __slots__ = ("label", "digest", "size", "colors")
+
+    def __init__(self, label: str, digest: str, size: int, colors: tuple[int, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "colors", colors)
 
 
-@dataclass(frozen=True)
-class JoinTrace:
+class JoinTrace(_Record):
     """Two subconstructions joined with a fresh cross color."""
 
-    left: "ConstructionTrace"
-    right: "ConstructionTrace"
-    fresh_color: int
-    size: int
-    colors: tuple[int, ...]
+    __slots__ = ("left", "right", "fresh_color", "size", "colors")
+
+    def __init__(
+        self,
+        left: ConstructionTrace,
+        right: ConstructionTrace,
+        fresh_color: int,
+        size: int,
+        colors: tuple[int, ...],
+    ):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "fresh_color", fresh_color)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "colors", colors)
 
 
-@dataclass(frozen=True)
-class BlowupTrace:
+class BlowupTrace(_Record):
     """Children substituted into the vertices of a small quotient coloring."""
 
-    quotient: EdgeColoring
-    children: tuple["ConstructionTrace", ...]
-    size: int
-    colors: tuple[int, ...]
+    __slots__ = ("quotient", "children", "size", "colors")
+
+    def __init__(
+        self,
+        quotient: EdgeColoring,
+        children: tuple[ConstructionTrace, ...],
+        size: int,
+        colors: tuple[int, ...],
+    ):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "colors", colors)
 
 
 ConstructionTrace = Union[BaseTrace, JoinTrace, BlowupTrace]

@@ -409,6 +409,39 @@ def test_document_constructor_rejects_what_the_readers_reject(pentagon):
     assert round_trip_text(doc) == doc and round_trip_json(doc) == doc
 
 
+def test_document_provenance_must_read_back_unchanged(pentagon):
+    # an int key would read back as a string and a tuple as a list; a set
+    # or a cycle cannot be written, and NaN does not equal itself
+    cycle = []
+    cycle.append(cycle)
+    for provenance in (
+        {1: "x"},
+        {"a": {1, 2}},
+        {"a": (1, 2)},
+        {"a": [{"b": float("nan")}]},
+        {"a": cycle},
+        {"a": {"b": [None, object()]}},
+    ):
+        with pytest.raises(FormatError, match="does not read back unchanged"):
+            ColoringDocument(pentagon, provenance=provenance)
+        with pytest.raises(FormatError, match="does not read back unchanged"):
+            ColoringDocument.sealed(pentagon, provenance)
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        parse_text('2 1\n1\n# provenance: {"a": NaN}\n')
+    provenance = {
+        "s": "x",
+        "i": -3,
+        "f": 1.5,
+        "inf": float("inf"),
+        "b": True,
+        "none": None,
+        "nested": [{"a": [1, [2.0]]}, []],
+    }
+    doc = ColoringDocument.sealed(pentagon, provenance)
+    assert round_trip_text(doc) == doc
+    assert parse_json(json.dumps(render_json(doc))) == doc
+
+
 def test_json_the_decoder_rejects_is_a_format_error():
     # json.loads raises ValueError (not JSONDecodeError) past the int digit
     # limit, and RecursionError on deep nesting

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,35 @@ def test_runtime_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign, foreign
+
+
+def test_no_module_imports_dataclasses():
+    # records derive from errors._Record: the dataclass decorator would
+    # exec generated methods at every import and pull in inspect and ast
+    found = [
+        f"{path.name}:{lineno}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, name in absolute_imports(path)
+        if name.split(".")[0] == "dataclasses"
+    ]
+    assert not found, found
+
+
+def test_importing_the_cli_loads_no_code_introspection():
+    # every command pays for what the import loads
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gallai.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(ast.literal_eval(out.stdout))
+    assert "gallai.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def process_global_calls(path: Path):
