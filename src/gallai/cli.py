@@ -113,6 +113,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     if args.color is not None and not args.pattern:
         raise ValueError("--color needs --pattern")
+    # every argument is read before any check runs
+    pattern = parse_pattern(args.pattern) if args.pattern else None
     doc = read_document(args.input, args.format)
     c = doc.coloring
     if args.color is not None and not 1 <= args.color <= c.k:
@@ -130,8 +132,7 @@ def cmd_verify(args) -> int:
             _print_json({"ok": False, "check": "rainbow", "violation": hit.to_json()})
             return EXIT_VIOLATION
         checks.append({"check": "rainbow", "ok": True})
-    if args.pattern:
-        pattern = parse_pattern(args.pattern)
+    if pattern is not None:
         hit = find_mono(c, pattern, args.color)
         if hit is not None:
             _print_json(

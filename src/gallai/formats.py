@@ -77,6 +77,19 @@ def _reads_back(value: Any) -> bool:
     return True
 
 
+def _loads(text: str) -> tuple[Any, bool]:
+    # json.loads(text), and whether it met a NaN: of the values json.loads
+    # builds, only a NaN fails _reads_back, so without one no walk is needed
+    nan = []
+
+    def constant(name: str) -> float:
+        if name == "NaN":
+            nan.append(name)
+        return float(name)
+
+    return json.loads(text, parse_constant=constant), bool(nan)
+
+
 class ColoringDocument(_Record):
     """A coloring plus optional integrity digest and provenance record.
 
@@ -120,6 +133,16 @@ class ColoringDocument(_Record):
     ) -> "ColoringDocument":
         """Document with the digest filled in."""
         return cls(coloring, canonical_digest(coloring), provenance)
+
+
+def _loaded(coloring, digest, provenance, version, walk: bool) -> ColoringDocument:
+    # a reader's document.  A dict that _loads built without meeting a NaN
+    # reads back unchanged, so it is stored after the other checks, unwalked
+    if walk or not isinstance(provenance, dict):
+        return ColoringDocument(coloring, digest, provenance, version)
+    doc = ColoringDocument(coloring, digest, None, version)
+    object.__setattr__(doc, "provenance", provenance)
+    return doc
 
 
 def render_text(doc: ColoringDocument) -> str:
@@ -166,6 +189,7 @@ def _ints(tokens: list[str], lines: list[tuple[int, str]]) -> list[int]:
 def parse_text(text: str) -> ColoringDocument:
     digest: Optional[str] = None
     provenance: Optional[dict[str, Any]] = None
+    walk = False  # whether the provenance must be walked: it held a NaN
     data_lines: list[tuple[int, str]] = []
     # a line ends at "\n" only, after at most one "\r"; spaces and tabs
     # are the only blanks, so any other character fails a test below
@@ -185,7 +209,7 @@ def parse_text(text: str) -> ColoringDocument:
                     raise FormatError(f"line {lineno}: duplicate provenance comment")
                 blob = body[len("provenance:") :].strip(_BLANKS)
                 try:
-                    provenance = json.loads(blob)
+                    provenance, walk = _loads(blob)
                 except _JSON_ERRORS as exc:
                     raise FormatError(f"line {lineno}: bad provenance JSON") from exc
                 if not isinstance(provenance, dict):
@@ -233,7 +257,7 @@ def parse_text(text: str) -> ColoringDocument:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return ColoringDocument(coloring, digest, provenance)
+    return _loaded(coloring, digest, provenance, FORMAT_VERSION, walk)
 
 
 def render_json(doc: ColoringDocument) -> dict[str, Any]:
@@ -247,21 +271,19 @@ def render_json(doc: ColoringDocument) -> dict[str, Any]:
 
 
 def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
+    walk = True  # a dict from the caller; in a text, only a NaN forces it
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data, walk = _loads(data)
         except _JSON_ERRORS as exc:
             raise FormatError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top-level JSON value must be an object")
     if data.get("format") != "gallai-coloring":
         raise FormatError("missing or wrong 'format' tag")
-    return ColoringDocument(
-        _read_payload(data),
-        data.get("digest"),
-        data.get("provenance"),
-        version=data.get("version"),
-    )
+    coloring = _read_payload(data)
+    provenance, version = data.get("provenance"), data.get("version")
+    return _loaded(coloring, data.get("digest"), provenance, version, walk)
 
 
 def _write_payload(c: EdgeColoring) -> dict[str, Any]:

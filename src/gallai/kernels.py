@@ -171,16 +171,25 @@ def wheel_within(adj: Rows, mask: int, m: int) -> Optional[tuple[int, ...]]:
     """First wheel (rim..., hub) with an m-vertex rim inside ``mask``, or
     None.  Hubs ascend, then the first m-cycle in the hub's neighborhood:
     for m = 4 by `cycle4_within`, else the least closed path from the
-    cycle's least vertex s, all others above s."""
+    cycle's least vertex s, all others above s.
+
+    A hub whose ring (its neighborhood in the mask) was already shown to
+    hold no m-cycle is skipped.  That is exact: whether a ring holds an
+    m-cycle, and which one is first, depends on ``adj`` and the ring
+    alone, and a ring that holds one returns at once, so only cycle-free
+    rings are kept.  In a blow-up every vertex of a block has the same
+    ring, so each block is searched once.
+    """
     rim = plan(m, [(j, (j + 1) % m) for j in range(m)], range(m))[1:]
     host = [0] * m
+    free: set[int] = set()  # rings that hold no m-cycle
     hubs = mask
     while hubs:
         bh = hubs & -hubs
         hubs ^= bh
         hub = bh.bit_length() - 1
         ring = adj[hub] & mask
-        if ring.bit_count() < m:
+        if ring.bit_count() < m or ring in free:
             continue
         if m == 4:
             cyc = cycle4_within(adj, ring)
@@ -191,6 +200,7 @@ def wheel_within(adj: Rows, mask: int, m: int) -> Optional[tuple[int, ...]]:
                 host[0] = s
                 if embed(adj, rim, host, 0, ring & above(s)):
                     return (*host, hub)
+        free.add(ring)
     return None
 
 

@@ -384,6 +384,27 @@ def test_unknown_pattern_token(tmp_path, capsys):
     assert code == 2 and "unknown pattern" in err
 
 
+def test_verify_reads_the_pattern_before_any_check(tmp_path, capsys, monkeypatch):
+    # a bad --pattern is an input error, like a --color outside the
+    # palette: no check runs, whether the rainbow check would fail (the
+    # triangle) or pass (the monochromatic K6)
+    ran = []
+    for name in ("find_rainbow_triangle", "find_mono"):
+        check = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, f=check: ran.append(f) or f(*a))
+    missing = tmp_path / "absent.json"
+    for coloring in (EdgeColoring(3, 3, [1, 2, 3]), mono_k6()):
+        path = save(tmp_path, "c.grc", coloring)
+        for extra in (("--gallai",), ()):
+            argv = ("verify", "--in", path, *extra, "--pattern")
+            code, out, err = run(capsys, *argv, "bogus")
+            assert (code, out, err) == (2, "", "error: unknown pattern 'bogus'\n")
+            code, out, err = run(capsys, *argv, f"explicit:{missing}")
+            assert code == 2 and out == "" and err.startswith("error:")
+            assert "absent.json" in err
+    assert ran == []
+
+
 def test_integers_are_ascii_digits_only(tmp_path, capsys):
     # int() alone takes a sign, "_", spaces and other scripts' digits
     path = save(tmp_path, "k6.grc", mono_k6())

@@ -3,17 +3,21 @@ import random
 import pytest
 
 import oracles
+from gallai import kernels
 from gallai import (
     EdgeColoring,
     Embedding,
     PatternSpec,
     PreconditionError,
+    build_lower_bound_witness,
     find_mono,
     find_rainbow_triangle,
     has_mono_p3_in_color,
     join,
     mono_complete_between,
+    random_gallai,
     restrict,
+    substitute,
     wheel_from_mono_pair,
 )
 from gallai.kernels import (
@@ -219,6 +223,89 @@ def test_wheel_within_w4_matches_brute_force():
                 hits += want is not None
                 misses += want is None
     assert hits > 100 and misses > 100
+
+
+def _blowups(rng, biggest, trials):
+    # colorings in which many vertices share a ring: substitutions into a
+    # quotient in colors 1 and 2 of small parts, arbitrary in colors 1..3
+    # or all in color 3 (such a block has one ring in colors 1 and 2), and
+    # random_gallai, which substitutes recursively
+    for trial in range(trials):
+        q = oracles.arbitrary_coloring(rng.randint(2, 4), 2, trial + 700)
+        parts, left = [], biggest
+        for i in range(q.n):
+            size = rng.randint(1, max(1, min(4, left - (q.n - 1 - i))))
+            left -= size
+            if rng.random() < 0.5:
+                parts.append(mono(size, 3))
+            else:
+                parts.append(oracles.arbitrary_coloring(size, 3, trial * 7 + i))
+        yield substitute(q, parts)
+        yield random_gallai(rng.randint(2, biggest), rng.randint(2, 3), trial + 900)
+
+
+def _ring_repeats(c, color, mask, hit, m):
+    # hubs before the hit (all hubs on a miss) whose ring of m or more
+    # vertices an earlier hub already had: the hubs wheel_within skips
+    rows = c.rows(color)
+    last = hit[-1] if hit is not None else c.n
+    rings = [rows[h] & mask for h in range(last) if mask >> h & 1]
+    rings = [r for r in rings if r.bit_count() >= m]
+    return len(rings) - len(set(rings))
+
+
+def test_wheel_within_on_blowups_where_hubs_share_rings(base14):
+    # the rings wheel_within has shown to be cycle-free are skipped; on
+    # blow-ups that skip is taken often, and the answers must not change
+    rng = random.Random(67)
+    tower, _ = build_lower_bound_witness(4, base14)
+    counts = {m: [0, 0, 0] for m in (4, 5, 6)}  # hits, misses, skipped hubs
+    for m, biggest, trials in ((4, 12, 40), (5, 10, 100), (6, 10, 200)):
+        cases = list(_blowups(rng, biggest, trials))
+        if m == 4:
+            cases.append(tower)
+        wheel = PatternSpec.wheel(m)
+        for c in cases:
+            for color in sorted(c.colors_used()):
+                nbrs = _color_nbrs(c, color)
+                for mask in _random_masks(rng, c.n):
+                    hit = wheel_within(c.rows(color), mask, m)
+                    if m == 4:
+                        assert hit == _first_wheel4(nbrs, mask)
+                    else:
+                        vs = [v for v in range(c.n) if mask >> v & 1]
+                        expected = len(vs) > m and oracles.has_mono_wheel(
+                            restrict(c, vs), color, m
+                        )
+                        assert (hit is not None) == expected
+                    if hit is not None:
+                        assert all(mask >> v & 1 for v in hit)
+                        assert Embedding(wheel, color, hit).check(c)
+                    counts[m][hit is None] += 1
+                    counts[m][2] += _ring_repeats(c, color, mask, hit, m)
+    for m, (hits, misses, skipped) in counts.items():
+        assert hits >= 30 and misses >= 30 and skipped >= 100, (m, counts[m])
+
+
+def test_w4_scan_runs_one_cycle_search_per_distinct_ring(base14, monkeypatch):
+    # a cost guard: in the k = 5 tower, a blow-up, the vertices of a block
+    # share their ring in every color that joins the block to the rest, and
+    # find_mono(W4) searches each distinct ring of 4 or more vertices once
+    tower, _ = build_lower_bound_witness(5, base14)
+    assert tower.n == 140
+    searched = []
+    real = kernels.cycle4_within
+    monkeypatch.setattr(
+        kernels, "cycle4_within", lambda adj, mask: searched.append(mask) or real(adj, mask)
+    )
+    shared = 0
+    for color in sorted(tower.colors_used()):
+        searched.clear()
+        assert find_mono(tower, W4, color) is None
+        rings = [row for row in tower.rows(color) if row.bit_count() >= 4]
+        assert sorted(searched) == sorted(set(rings))
+        shared += len(rings) - len(searched)
+    assert shared > tower.n
 
 
 def test_embedding_json_round_trip_and_strict(pentagon):

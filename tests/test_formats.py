@@ -442,6 +442,49 @@ def test_document_provenance_must_read_back_unchanged(pentagon):
     assert parse_json(json.dumps(render_json(doc))) == doc
 
 
+def test_readers_walk_a_provenance_only_when_it_may_not_read_back(
+    pentagon, monkeypatch
+):
+    # what json.loads builds from a text reads back unless it holds a NaN,
+    # so the readers skip the constructor's walk then; a dict handed to
+    # parse_json is walked, and a NaN is refused with the same message
+    walks = []
+    reads_back = formats_module._reads_back
+    monkeypatch.setattr(
+        formats_module, "_reads_back", lambda v: walks.append(v) or reads_back(v)
+    )
+    provenance = {"f": 1.5, "inf": float("-inf"), "nested": [{"a": [1, None]}]}
+    doc = ColoringDocument.sealed(pentagon, provenance)
+    walks.clear()
+    assert parse_text(render_text(doc)) == doc
+    assert parse_json(json.dumps(render_json(doc))) == doc
+    assert walks == []
+    assert parse_json(render_json(doc)) == doc
+    assert walks
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        parse_json({**render_json(doc), "provenance": {1: "x"}})
+    nan_doc = json.dumps({**render_json(doc), "provenance": {"a": [float("nan")]}})
+    for text in (nan_doc, render_text(doc).replace("1.5", "NaN")):
+        parse = parse_json if text is nan_doc else parse_text
+        with pytest.raises(FormatError, match="does not read back unchanged"):
+            parse(text)
+    # a NaN outside the provenance is no provenance error
+    blob = json.dumps({**render_json(doc), "extra": float("nan")})
+    assert parse_json(blob) == doc
+    blob = json.dumps({**render_json(doc), "edges": first_edge_as([0, 1, float("nan")])})
+    with pytest.raises(FormatError) as exc:
+        parse_json(blob)
+    assert "read back" not in str(exc.value)
+    # the checks keep their order: the walk before the digest, rows first
+    bad_digest = render_text(doc).replace(doc.digest, "0" * 64).replace("1.5", "NaN")
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        parse_text(bad_digest)
+    with pytest.raises(FormatError, match="digest does not match"):
+        parse_text(bad_digest.replace("NaN", "1.5"))
+    with pytest.raises(FormatError, match="must list"):
+        parse_text(bad_digest.replace("\n1 2 2 1\n", "\n1 2 2\n"))
+
+
 def test_json_the_decoder_rejects_is_a_format_error():
     # json.loads raises ValueError (not JSONDecodeError) past the int digit
     # limit, and RecursionError on deep nesting
