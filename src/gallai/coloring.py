@@ -12,7 +12,7 @@ agree edge by edge, and `canonical_digest` hashes the labeled object.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import exact_int
 
@@ -73,9 +73,14 @@ class EdgeColoring:
     margin below that, and k < 256, so that each color fits in a byte.
     Below n = 30 the loop always runs: there the choice would cost about
     as much as the dense build can save.
+
+    Besides the rows, a coloring keeps what is made from it on first use,
+    which never goes stale: the colors as ``bytes`` (k < 256), the digest,
+    and the Gallai proof (the top split and whether there is a rainbow
+    triangle) that `find_rainbow_triangle` and `find_gallai_partition` share.
     """
 
-    __slots__ = ("n", "k", "_colors", "_bytes", "_masks", "_digest")
+    __slots__ = ("n", "k", "_colors", "_bytes", "_masks", "_digest", "_proof")
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
         # ints proper: the checks below would let a float n or k through
@@ -200,8 +205,9 @@ def _fill(
     c: EdgeColoring, n: int, k: int, colors: tuple[int, ...], data: bytes | None
 ) -> None:
     c.n, c.k, c._colors, c._bytes = n, k, colors, data
-    # built on first use and kept: the colour -> rows map and the digest
-    c._masks = c._digest = None
+    # built on first use and kept: the colour -> rows map, the digest and
+    # the Gallai proof
+    c._masks = c._digest = c._proof = None
 
 
 def _unchecked(n: int, k: int, colors: Iterable[int]) -> EdgeColoring:
@@ -376,6 +382,13 @@ def canonical_digest(c: EdgeColoring) -> str:
         body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n{body}"
         c._digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     return c._digest
+
+
+def _proved(c: EdgeColoring, prove: Callable[[EdgeColoring], tuple]) -> tuple:
+    # prove(c), made once and kept on c: detect._gallai_proof is the one prove
+    if c._proof is None:
+        c._proof = prove(c)
+    return c._proof
 
 
 def _color_text(c: EdgeColoring, row_end: str) -> str:

@@ -5,14 +5,15 @@ Everything here runs on the per-color adjacency rows kept by
 explicit subset enumeration.  Scan orders are fixed and documented, so
 each detector is deterministic: same input, same certificate.
 
-The mask kernels live in :mod:`gallai.kernels`: `rainbow_free` (Gallai
-splits over a worklist, shared with `find_gallai_partition`) to show
-that there is no rainbow triangle, and `rainbow_within` (on
-`rainbow_thirds`, the test the search shares) to name the least one
-when there is; `first_copy`, which picks the full scan for a pattern's
-kind there, so `find_mono` never looks at the kind; `path3_within`
-behind `has_mono_p3_in_color` and `wheel_from_mono_pair`; and
-`mono_between` for `mono_complete_between`.
+The mask kernels live in :mod:`gallai.kernels`: `gallai_split` and
+`rainbow_free` (Gallai splits over a worklist), which `_gallai_proof`
+runs once per coloring for `find_rainbow_triangle` and
+`find_gallai_partition` to show that there is no rainbow triangle, and
+`rainbow_within` (on `rainbow_thirds`, the test the search shares) to
+name the least one when there is; `first_copy`, which picks the full
+scan for a pattern's kind there, so `find_mono` never looks at the
+kind; `path3_within` behind `has_mono_p3_in_color` and
+`wheel_from_mono_pair`; and `mono_between` for `mono_complete_between`.
 
 Detectors return :class:`Embedding` certificates (or ``None``), never
 bare booleans, so callers can re-validate any reported hit.
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coloring import EdgeColoring, _mask_of
+from .coloring import EdgeColoring, _mask_of, _proved
 from .errors import PreconditionError, exact_int
 from .kernels import (
     color_classes,
     first_copy,
+    gallai_split,
     mono_between,
     path3_within,
     rainbow_free,
@@ -49,14 +51,29 @@ _WHEEL4 = PatternSpec.wheel(4)
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[Embedding]:
     """First triangle whose three edges carry three distinct colors.
 
-    Returns None for Gallai colorings, which `rainbow_free` proves by
-    Gallai splits alone.  Otherwise the full `rainbow_within` scan over
-    ordered triples u < v < w ascending names the lexicographically
-    least rainbow triangle.
+    Returns None for Gallai colorings, which `_gallai_proof` proves by
+    Gallai splits alone, once per coloring: a later call, or
+    `find_gallai_partition` on the same coloring, reads the kept verdict.
+    Otherwise the full `rainbow_within` scan over ordered triples
+    u < v < w ascending names the lexicographically least rainbow
+    triangle.
     """
-    if rainbow_free(color_classes(c), (c.vertex_mask,)):
+    if _proved(c, _gallai_proof)[1]:
         return None
     return Embedding(_TRIANGLE, None, rainbow_within(c, c.vertex_mask))
+
+
+def _gallai_proof(c: EdgeColoring) -> tuple[Optional[tuple[int, ...]], bool]:
+    # (the top Gallai split of all of c, None with at most two colors or
+    # when no color pair splits; True iff c has no rainbow triangle), which
+    # `_proved` keeps on c.  The one place either kernel runs on a coloring
+    classes = color_classes(c)
+    if len(classes) <= 2:
+        return None, True
+    split = gallai_split(classes, c.vertex_mask)
+    if split is None:
+        return None, False
+    return tuple(split), rainbow_free(classes, split)
 
 
 def find_mono(

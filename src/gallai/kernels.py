@@ -23,10 +23,12 @@ cluster's two masks with it, `structure` tests the pairs of parts in
 color pair that gives two or more clusters, the `components_avoiding`
 the pair, merged by `coarsen` until every two are joined in one color.
 `rainbow_free` runs it over a worklist of masks and so decides whether
-a coloring has a rainbow triangle without looking at any triangle;
-`find_rainbow_triangle` scans with `rainbow_within` only after it
-fails, to name the triangle, and `find_gallai_partition` takes its top
-split and checks the clusters with it.
+a coloring has a rainbow triangle without looking at any triangle.
+`detect._gallai_proof` runs the top split and `rainbow_free` on its
+clusters once per coloring, which keeps the result:
+`find_rainbow_triangle` scans with `rainbow_within` only when the proof
+fails, to name the triangle, and `find_gallai_partition` takes the top
+split as its partition.
 """
 
 from __future__ import annotations
@@ -301,19 +303,29 @@ def components_avoiding(adj_a: Rows, adj_b: Rows, mask: int) -> list[int]:
     """Components of ``mask`` joined by edges of neither color a nor b,
     by least vertex; each grows one frontier mask at a time.  In a
     complete graph the other colors join v to everything outside its a-
-    and b-rows, so the number of colors never enters."""
+    and b-rows, so the number of colors never enters.
+
+    The walk stops early.  ``joined`` starts as the vertices of ``mask``
+    not yet reached and each frontier vertex narrows it to those it sees
+    in a or b.  Once it is empty, every vertex not reached has an edge of
+    another color into the component, so the component is all that is
+    left: the full walk would build the same last component."""
     left = mask
     comps: list[int] = []
     while left:
         comp = frontier = left & -left
         while frontier:
-            joined = -1  # vertices that every frontier vertex sees in a or b
+            rest = left & ~comp
+            joined = rest  # what every frontier vertex sees in a or b
             while frontier:
                 b = frontier & -frontier
                 v = b.bit_length() - 1
                 joined &= adj_a[v] | adj_b[v]
+                if not joined:
+                    comps.append(left)
+                    return comps
                 frontier ^= b
-            frontier = left & ~joined & ~comp
+            frontier = rest & ~joined
             comp |= frontier
         comps.append(comp)
         left &= ~comp

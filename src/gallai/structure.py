@@ -15,19 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .coloring import EdgeColoring, _mask_of
-from .detect import find_mono, find_rainbow_triangle
+from .coloring import EdgeColoring, _mask_of, _proved
+from .detect import _gallai_proof, find_mono, find_rainbow_triangle
 from .errors import PreconditionError, _Record, exact_int
 from .formats import _write_payload
-from .kernels import (
-    bits,
-    color_classes,
-    gallai_split,
-    joined_to_all,
-    mono_between,
-    path3_within,
-    rainbow_free,
-)
+from .kernels import bits, joined_to_all, mono_between, path3_within
 from .patterns import PatternSpec
 
 __all__ = [
@@ -135,6 +127,8 @@ def _check_pairs(c: EdgeColoring, parts):
     # part i is joined to in it; the full color set is read only to report
     color_of = c.color_of
     violations: list[str] = []
+    if len(parts) < 2:
+        violations.append(f"a Gallai partition needs at least two parts, got {len(parts)}")
     cross: set[int] = set()
     pair_color: dict[tuple[int, int], int] = {}
     for i, (xs, xmask) in enumerate(parts):
@@ -164,10 +158,10 @@ def _check_pairs(c: EdgeColoring, parts):
 def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> PartitionCheck:
     """Check a claimed Gallai partition; malformed input raises ValueError.
 
-    Violations reported: a pair of parts joined in more than one color,
-    more than two colors across parts in total, and (when a full
-    :class:`GallaiPartition` is given) reduced-graph or cross-color
-    fields that disagree with the coloring.
+    Violations reported: fewer than two parts, a pair of parts joined in
+    more than one color, more than two colors across parts in total, and
+    (when a full :class:`GallaiPartition` is given) reduced-graph or
+    cross-color fields that disagree with the coloring.
     """
     parts = _normalize_parts(c, partition)
     violations, cross, pair_color = _check_pairs(c, parts)
@@ -215,9 +209,12 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     in ascending order and the first that yields two or more parts
     wins, which makes the output deterministic.
 
-    The partition is built first and checked for rainbow triangles
-    afterwards, inside one cluster at a time, with the same
-    `gallai_split` run over a worklist (`rainbow_free`).  That is enough:
+    The partition is the top split of `detect._gallai_proof`, which
+    checks it for rainbow triangles afterwards, inside one cluster at a
+    time, with the same `gallai_split` run over a worklist
+    (`rainbow_free`).  The proof is made once per coloring and kept on
+    it, so after `find_rainbow_triangle` (or a first call here) on the
+    same coloring no split runs again.  The check is enough:
     after deleting a and b, an edge between two clusters has color a or
     b, and `coarsen` leaves any two clusters joined in one color.  A
     triangle on three clusters then has only the colors a and b, and
@@ -226,7 +223,7 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     rainbow triangle iff some cluster does.
 
     A coloring without one always has a pair that yields two parts, so
-    it gets past the split below; no split, like a rainbow cluster,
+    it gets past the top split; no split, like a rainbow cluster,
     proves a rainbow triangle.  By Gallai's theorem (Gallai
     1967; Gyárfás–Simonyi 2004) such a coloring has a Gallai partition
     P with at least two parts whose cross colors lie in some pair
@@ -241,12 +238,9 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     """
     if c.n < 2:
         raise ValueError("partition needs at least two vertices")
-    classes = color_classes(c)
-    if len(classes) <= 2:
-        return _build_partition(c, [1 << v for v in range(c.n)])
-    clusters = gallai_split(classes, c.vertex_mask)
-    if clusters is not None and rainbow_free(classes, clusters):
-        return _build_partition(c, clusters)
+    clusters, free = _proved(c, _gallai_proof)
+    if free:
+        return _build_partition(c, clusters or [1 << v for v in range(c.n)])
     rainbow = find_rainbow_triangle(c)
     raise PreconditionError(f"rainbow triangle at vertices {rainbow.vertex_map}")
 

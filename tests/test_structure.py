@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import gallai.detect
 import oracles
 from gallai import (
     ApexSequence,
@@ -75,6 +76,17 @@ def test_verify_flags_bichromatic_pair(pentagon):
     check = verify_gallai_partition(pentagon, [[0, 1], [2, 3, 4]])
     assert not check.ok
     assert any("joined in colors" in v for v in check.violations)
+
+
+def test_one_part_is_not_a_gallai_partition():
+    c = random_gallai(12, 3, 5)
+    check = verify_gallai_partition(c, [range(12)])
+    assert check == PartitionCheck(
+        False, ("a Gallai partition needs at least two parts, got 1",)
+    )
+    assert not verify_gallai_partition(EdgeColoring(1, 1, []), [[0]]).ok
+    with pytest.raises(ValueError, match="at least two parts"):
+        reduced_graph(c, [range(12)])
 
 
 def test_verify_rejects_malformed(pentagon):
@@ -185,6 +197,45 @@ def test_find_partition_on_near_gallai_colorings(near_gallai):
     assert min(routes.values()) >= 10, routes
 
 
+def test_each_coloring_is_proved_once(near_gallai, monkeypatch):
+    # the top split runs where the proof helper looks gallai_split up;
+    # the splits below it run inside kernels.rainbow_free
+    tops = []
+
+    def counted(classes, mask):
+        tops.append(mask)
+        return gallai_split(classes, mask)
+
+    monkeypatch.setattr(gallai.detect, "gallai_split", counted)
+    routes = {"valid": 0, "rainbow": 0}
+    for c0, least in near_gallai:
+        # fresh copies: the fixture's colorings may already hold a proof
+        c, again = (EdgeColoring(c0.n, c0.k, c0.edge_colors) for _ in range(2))
+        tops.clear()
+        hit = find_rainbow_triangle(c)
+        assert (hit and hit.vertex_map) == least
+        assert tops == [c.vertex_mask] * (len(c.colors_used()) >= 3)
+        tops.clear()
+        if least is None:
+            part = find_gallai_partition(c)
+            assert tops == []
+            assert part == find_gallai_partition(again)
+            routes["valid"] += 1
+        else:
+            with pytest.raises(PreconditionError) as exc:
+                find_gallai_partition(c)
+            assert tops == []
+            assert str(exc.value) == f"rainbow triangle at vertices {least}"
+            with pytest.raises(PreconditionError):
+                find_gallai_partition(again)
+            routes["rainbow"] += 1
+        # and the other way round: the partition's proof serves the detector
+        tops.clear()
+        assert find_rainbow_triangle(again) == hit
+        assert tops == []
+    assert min(routes.values()) >= 10, routes
+
+
 def _coarsen_all_pairs(c, clusters):
     # the former all-pairs coarsening: merge the first two clusters not
     # joined in one color, then start again from the first pair
@@ -216,10 +267,14 @@ def _components_brute(c, a, b, mask):
 
 
 def test_coarsen_matches_all_pairs_oracle():
+    # components_avoiding stops once every vertex left is reached: on a
+    # full mask with three or more colors most pairs leave one component,
+    # and with several the stop ends the last one
     rng = random.Random(5150)
     cases = [random_gallai(rng.randint(2, 14), rng.randint(2, 5), t + 61_000) for t in range(40)]
     cases += [oracles.arbitrary_coloring(rng.randint(2, 10), rng.randint(3, 5), t + 62_000) for t in range(40)]
-    merged = many = 0
+    cases += [random_gallai(rng.randint(15, 30), rng.randint(3, 6), t + 63_000) for t in range(10)]
+    merged = many = whole = several = 0
     for c in cases:
         used = sorted(c.colors_used())
         for a, b in combinations(used, 2):
@@ -227,12 +282,40 @@ def test_coarsen_matches_all_pairs_oracle():
                 mask = c.vertex_mask if trial == 0 else rng.getrandbits(c.n) or 1
                 comps = components_avoiding(c.rows(a), c.rows(b), mask)
                 assert comps == _components_brute(c, a, b, mask)
+                whole += trial == 0 and len(used) >= 3 and len(comps) == 1
+                several += len(comps) >= 2
                 got = coarsen(c.rows(a), c.rows(b), mask, comps)
                 want = _coarsen_all_pairs(c, comps)
                 assert sorted(got) == sorted(want)
                 merged += len(got) < len(comps)
                 many += len(got) >= 4
     assert merged >= 100 and many >= 100, (merged, many)
+    assert whole >= 100 and several >= 100, (whole, several)
+
+
+class _CountingRows(tuple):
+    # rows that count how often a kernel reads them
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRows.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_components_walk_stops_once_it_reaches_every_vertex():
+    # the k = 6 tower (n = 350): 14 of its 15 color pairs leave one
+    # component, where the full walk read two rows per vertex (9,800)
+    w, _ = build_lower_bound_witness(6, load_base14())
+    one = reads = 0
+    for a, b in combinations(sorted(w.colors_used()), 2):
+        _CountingRows.reads = 0
+        rows_a, rows_b = _CountingRows(w.rows(a)), _CountingRows(w.rows(b))
+        comps = components_avoiding(rows_a, rows_b, w.vertex_mask)
+        if comps == [w.vertex_mask]:
+            one += 1
+            reads += _CountingRows.reads
+    assert one == 14
+    assert reads <= 3_000, reads
 
 
 def _chain(n):
@@ -433,12 +516,15 @@ def _old_colors_between(c, xs, ymask):
 
 
 def _old_verify(c, partition):
-    # reference for verify_gallai_partition on well-formed partitions: every
-    # color between two parts, found vertex by vertex with color_of
+    # reference for verify_gallai_partition on well-formed partitions: at
+    # least two parts, and every color between two parts, found vertex by
+    # vertex with color_of
     expected = partition if isinstance(partition, GallaiPartition) else None
     raw = partition.parts if expected is not None else partition
     parts = [(tuple(sorted(set(p))), sum(1 << v for v in set(p))) for p in raw]
     violations = []
+    if len(parts) < 2:
+        violations.append(f"a Gallai partition needs at least two parts, got {len(parts)}")
     cross = set()
     pair_color = {}
     for i, j in combinations(range(len(parts)), 2):

@@ -165,7 +165,7 @@ def test_only_coloring_reads_edge_coloring_private_slots():
     # only its operators build a coloring that is not checked
     tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
     slots = {s for s in class_slots(tree, "EdgeColoring") if s.startswith("_")}
-    assert {"_colors", "_bytes", "_masks", "_digest"} <= slots
+    assert {"_colors", "_bytes", "_masks", "_digest", "_proof"} <= slots
     builders = {"_unchecked", "_fill"}
     assert builders <= {name for _, name in module_level_names(tree)}
     private = slots | builders | {"__new__"}
@@ -177,6 +177,34 @@ def test_only_coloring_reads_edge_coloring_private_slots():
         for name in referenced_names(node)
         if name in private
     ]
+    assert not found, found
+
+
+def test_gallai_proof_runs_in_one_helper():
+    # find_rainbow_triangle and find_gallai_partition share one proof per
+    # coloring, kept on it; a second call site would prove it again
+    kernels = {"gallai_split", "rainbow_free"}
+    found = []
+    for name in ("detect.py", "structure.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        helpers = [
+            fn
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_gallai_proof"
+        ]
+        inside = {id(node) for fn in helpers for node in ast.walk(fn)}
+        if name == "detect.py":
+            (helper,) = helpers
+            assert kernels <= {
+                ref for node in ast.walk(helper) for ref in referenced_names(node)
+            }
+        found += [
+            f"{name}:{node.lineno}: {ref}"
+            for node in ast.walk(tree)
+            if id(node) not in inside and not isinstance(node, ast.ImportFrom)
+            for ref in referenced_names(node)
+            if ref in kernels
+        ]
     assert not found, found
 
 
