@@ -50,9 +50,9 @@ def f_value(s: int, coeff: int = 14) -> int:
     odd s >= 3.  Level 1 is a special case that only exists for the
     default coefficient 14, where the value is 4.
     """
-    if s < 1:
+    if exact_int(s, "level") < 1:
         raise ValueError(f"level must be positive, got {s}")
-    if coeff < 1:
+    if exact_int(coeff, "coefficient") < 1:
         raise ValueError(f"coefficient must be positive, got {coeff}")
     if s == 1:
         if coeff != 14:
@@ -104,9 +104,9 @@ def build_lower_bound_witness(
     vertices and inherits the base's two guarantees: no rainbow
     triangle and no monochromatic rim-wheel in any color.
     """
-    if k < 2:
+    if exact_int(k, "k") < 2:
         raise ValueError(f"witness levels start at 2, got {k}")
-    if rim < 4 or rim % 2 != 0:
+    if exact_int(rim, "rim length") < 4 or rim % 2 != 0:
         raise ValueError(f"rim length must be even and at least 4, got {rim}")
     _check_base(base, rim)
     # even levels blow up the level two below; an odd level only ever

@@ -26,13 +26,21 @@ def exact_int(value: object, name: str) -> int:
 class _Record:
     """Base of the package's immutable records.
 
-    A subclass lists its fields in ``__slots__``, in constructor order,
-    and its ``__init__`` checks the arguments and stores each with
-    ``object.__setattr__``; a record has two or more fields, its
-    parent's first.  Two records are equal when they are of the same
-    class and their fields are equal; a record hashes as the tuple of
-    its fields, prints as ``Name(field=value, ...)`` and raises
-    AttributeError on assignment or deletion.
+    A subclass lists its fields in ``__slots__``; a record has two or
+    more fields, its parent's first.  The constructor takes them in that
+    order, by position or by name, each exactly once, and raises
+    TypeError for a missing, extra or repeated field, as a generated
+    ``__init__`` would; it stores each with ``object.__setattr__``.  A
+    call that passes every field by position skips the binding by name;
+    the detectors and searches build their thousands of records that
+    way.  A subclass that only stores gives its fields' types as class
+    annotations; one that checks its arguments defines its own
+    ``__init__``, typed, and ends it with one ``super().__init__`` call.
+
+    Two records are equal when they are of the same class and their
+    fields are equal; a record hashes as the tuple of its fields, prints
+    as ``Name(field=value, ...)`` and raises AttributeError on
+    assignment or deletion.
     """
 
     __slots__ = ()
@@ -43,6 +51,26 @@ class _Record:
         cls.__match_args__ = inherited + cls.__dict__.get("__slots__", ())
         # the tuple of all fields, read in one call
         cls._values = attrgetter(*cls.__match_args__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            where = f"{type(self).__qualname__}()"
+            if len(args) > len(names):
+                raise TypeError(f"{where} takes {len(names)} fields, got {len(args)}")
+            values = dict(zip(names, args))
+            for name, value in kwargs.items():
+                if name not in names:
+                    raise TypeError(f"{where} got an unexpected field {name!r}")
+                if name in values:
+                    raise TypeError(f"{where} got multiple values for field {name!r}")
+                values[name] = value
+            missing = [repr(name) for name in names if name not in values]
+            if missing:
+                raise TypeError(f"{where} missing fields {', '.join(missing)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -57,29 +57,19 @@ class FormatError(ValueError):
 
 
 def _reads_back(value: Any) -> bool:
-    # whether json.loads(json.dumps(value)) == value: objects with string
-    # keys, lists (a tuple reads back as a list), strings, ints, bools,
-    # None and floats other than NaN.  A cycle, which json.dumps refuses,
-    # recurses until RecursionError
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            return False
-        value = value.values()
-    elif not isinstance(value, list):
-        return (
-            value is None
-            or isinstance(value, (str, int))
-            or (isinstance(value, float) and value == value)
-        )
-    for item in value:
-        if not (item is None or isinstance(item, (str, int)) or _reads_back(item)):
-            return False
-    return True
+    # whether json.loads(json.dumps(value)) == value.  json.dumps refuses a
+    # set or another object (TypeError), a cycle and an int past the
+    # int-to-str digit limit (ValueError), and deep nesting (RecursionError)
+    try:
+        return json.loads(json.dumps(value)) == value
+    except (TypeError, ValueError, RecursionError):
+        return False
 
 
 def _loads(text: str) -> tuple[Any, bool]:
-    # json.loads(text), and whether it met a NaN: of the values json.loads
-    # builds, only a NaN fails _reads_back, so without one no walk is needed
+    # json.loads(text), and whether it met a NaN: a value json.loads built
+    # reads back unless it holds a NaN, so without one _reads_back is not
+    # needed
     nan = []
 
     def constant(name: str) -> float:
@@ -114,18 +104,11 @@ class ColoringDocument(_Record):
         if provenance is not None:
             if not isinstance(provenance, dict):
                 raise FormatError("provenance must be an object")
-            try:
-                exact = _reads_back(provenance)
-            except RecursionError:
-                exact = False
-            if not exact:
+            if not _reads_back(provenance):
                 raise FormatError("provenance does not read back unchanged from JSON")
         if digest is not None and digest != canonical_digest(coloring):
             raise FormatError("digest does not match payload")
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "digest", digest)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "version", version)
+        super().__init__(coloring, digest, provenance, version)
 
     @classmethod
     def sealed(
@@ -137,7 +120,8 @@ class ColoringDocument(_Record):
 
 def _loaded(coloring, digest, provenance, version, walk: bool) -> ColoringDocument:
     # a reader's document.  A dict that _loads built without meeting a NaN
-    # reads back unchanged, so it is stored after the other checks, unwalked
+    # reads back unchanged, so it is stored after the other checks without
+    # the _reads_back round trip
     if walk or not isinstance(provenance, dict):
         return ColoringDocument(coloring, digest, provenance, version)
     doc = ColoringDocument(coloring, digest, None, version)

@@ -81,9 +81,7 @@ class PatternSpec(_Record):
             raise ValueError(f"malformed pattern edges: {exc!r}") from exc
         if want != edges:
             raise ValueError(f"not the edges of {kind!r} on {order} vertices")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(kind, order, edges)
 
     @classmethod
     def wheel(cls, m: int) -> "PatternSpec":
@@ -162,13 +160,9 @@ class Embedding(_Record):
     """
 
     __slots__ = ("pattern", "color", "vertex_map")
-
-    def __init__(
-        self, pattern: PatternSpec, color: Optional[int], vertex_map: tuple[int, ...]
-    ):
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "color", color)
-        object.__setattr__(self, "vertex_map", vertex_map)
+    pattern: PatternSpec
+    color: Optional[int]
+    vertex_map: tuple[int, ...]
 
     def check(self, c: "EdgeColoring") -> bool:
         """Re-validate against the host from scratch."""

@@ -147,13 +147,9 @@ class SearchTask(_Record):
                         "relabeling does not preserve them"
                     )
             norm.append((pattern, scope))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "forbidden", tuple(norm))
-        object.__setattr__(self, "forbid_rainbow_triangle", forbid_rainbow_triangle)
-        object.__setattr__(self, "symmetry", symmetry)
-        object.__setattr__(self, "node_limit", node_limit)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(
+            n, k, tuple(norm), forbid_rainbow_triangle, symmetry, node_limit, seed
+        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -205,22 +201,12 @@ class SearchStats(_Record):
         "restarts",
         "elapsed",
     )
-
-    def __init__(
-        self,
-        nodes: int,
-        prunes_conflict: int,
-        prunes_lookahead: int,
-        prunes_canonical: int,
-        restarts: int,
-        elapsed: float,
-    ):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "prunes_conflict", prunes_conflict)
-        object.__setattr__(self, "prunes_lookahead", prunes_lookahead)
-        object.__setattr__(self, "prunes_canonical", prunes_canonical)
-        object.__setattr__(self, "restarts", restarts)
-        object.__setattr__(self, "elapsed", elapsed)
+    nodes: int
+    prunes_conflict: int
+    prunes_lookahead: int
+    prunes_canonical: int
+    restarts: int
+    elapsed: float
 
     @property
     def prunes(self) -> int:
@@ -231,32 +217,18 @@ class SearchOutcome(_Record):
     """What `search_witness` found, and the effort it took."""
 
     __slots__ = ("status", "witness", "stats")
-
-    def __init__(
-        self,
-        status: str,  # "witness" | "exhausted" | "limit_reached"
-        witness: Optional[EdgeColoring],
-        stats: SearchStats,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "stats", stats)
+    status: str  # "witness" | "exhausted" | "limit_reached"
+    witness: Optional[EdgeColoring]
+    stats: SearchStats
 
 
 class UnavoidableOutcome(_Record):
     """What `verify_unavoidable` concluded, and the search effort behind it."""
 
     __slots__ = ("status", "counterexample", "stats")
-
-    def __init__(
-        self,
-        status: str,  # "confirmed" | "counterexample" | "too_large"
-        counterexample: Optional[EdgeColoring],
-        stats: SearchStats,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "counterexample", counterexample)
-        object.__setattr__(self, "stats", stats)
+    status: str  # "confirmed" | "counterexample" | "too_large"
+    counterexample: Optional[EdgeColoring]
+    stats: SearchStats
 
 
 class PartialColoring:
@@ -284,19 +256,21 @@ class PartialColoring:
             for c in range(task.k + 1)
         )
 
-    def color_at(self, u: int, v: int) -> int:
+    def _index(self, u: int, v: int) -> int:
+        # the index of edge (u, v), or ValueError if K_n has no such edge
         if u > v:
             u, v = v, u
         if u == v or u < 0 or v >= self.n:
             raise ValueError(f"no edge ({u},{v}) in K_{self.n}")
-        return self.colors[edge_index(self.n, u, v)]
+        return edge_index(self.n, u, v)
+
+    def color_at(self, u: int, v: int) -> int:
+        return self.colors[self._index(u, v)]
 
     def assign(self, u: int, v: int, color: int) -> None:
-        if u > v:
-            u, v = v, u
-        if not 1 <= color <= self.k:
+        idx = self._index(u, v)
+        if not 1 <= exact_int(color, "color") <= self.k:
             raise ValueError(f"color {color} outside 1..{self.k}")
-        idx = edge_index(self.n, u, v)
         if self.colors[idx]:
             raise ValueError(f"edge ({u},{v}) already colored")
         self.colors[idx] = color
@@ -307,9 +281,7 @@ class PartialColoring:
         self.assigned[v] |= 1 << u
 
     def unassign(self, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        idx = edge_index(self.n, u, v)
+        idx = self._index(u, v)
         color = self.colors[idx]
         if not color:
             raise ValueError(f"edge ({u},{v}) is not colored")

@@ -42,16 +42,9 @@ class GallaiPartition(_Record):
     and the reduced coloring with one vertex per part."""
 
     __slots__ = ("parts", "cross_colors", "reduced")
-
-    def __init__(
-        self,
-        parts: tuple[tuple[int, ...], ...],
-        cross_colors: frozenset[int],
-        reduced: EdgeColoring,
-    ):
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "cross_colors", cross_colors)
-        object.__setattr__(self, "reduced", reduced)
+    parts: tuple[tuple[int, ...], ...]
+    cross_colors: frozenset[int]
+    reduced: EdgeColoring
 
     @property
     def p(self) -> int:
@@ -70,10 +63,8 @@ class PartitionCheck(_Record):
     """Outcome of verifying a claimed partition."""
 
     __slots__ = ("ok", "violations")
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
+    ok: bool
+    violations: tuple[str, ...]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -84,12 +75,8 @@ class ApexSequence(_Record):
     to everything not yet peeled; ``remainder`` is what is left."""
 
     __slots__ = ("entries", "remainder")
-
-    def __init__(
-        self, entries: tuple[tuple[int, int], ...], remainder: tuple[int, ...]
-    ):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "remainder", remainder)
+    entries: tuple[tuple[int, int], ...]
+    remainder: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {

@@ -28,50 +28,31 @@ class BaseTrace(_Record):
     """A leaf: a concrete coloring identified by its digest."""
 
     __slots__ = ("label", "digest", "size", "colors")
-
-    def __init__(self, label: str, digest: str, size: int, colors: tuple[int, ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "digest", digest)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "colors", colors)
+    label: str
+    digest: str
+    size: int
+    colors: tuple[int, ...]
 
 
 class JoinTrace(_Record):
     """Two subconstructions joined with a fresh cross color."""
 
     __slots__ = ("left", "right", "fresh_color", "size", "colors")
-
-    def __init__(
-        self,
-        left: ConstructionTrace,
-        right: ConstructionTrace,
-        fresh_color: int,
-        size: int,
-        colors: tuple[int, ...],
-    ):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "fresh_color", fresh_color)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "colors", colors)
+    left: ConstructionTrace
+    right: ConstructionTrace
+    fresh_color: int
+    size: int
+    colors: tuple[int, ...]
 
 
 class BlowupTrace(_Record):
     """Children substituted into the vertices of a small quotient coloring."""
 
     __slots__ = ("quotient", "children", "size", "colors")
-
-    def __init__(
-        self,
-        quotient: EdgeColoring,
-        children: tuple[ConstructionTrace, ...],
-        size: int,
-        colors: tuple[int, ...],
-    ):
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "colors", colors)
+    quotient: EdgeColoring
+    children: tuple[ConstructionTrace, ...]
+    size: int
+    colors: tuple[int, ...]
 
 
 ConstructionTrace = Union[BaseTrace, JoinTrace, BlowupTrace]

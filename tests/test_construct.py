@@ -53,6 +53,21 @@ def test_f_value_validation():
         f_value(3, 0)
 
 
+def test_levels_coefficients_and_rims_are_exact_ints(base14):
+    # f_value(2.0) returned 14.0 and f_value(True) 4; a float level
+    # reached range() in the builder and raised TypeError there
+    for value in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            f_value(value)
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            f_value(4, value)
+    for value in (4.0, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            build_lower_bound_witness(value, base14)
+        with pytest.raises(ValueError, match="rim length must be an integer"):
+            build_lower_bound_witness(3, base14, rim=value)
+
+
 def test_pentagon_shape(pentagon):
     assert pentagon.n == 5 and pentagon.k == 2
     for i in range(5):

@@ -442,6 +442,18 @@ def test_document_provenance_must_read_back_unchanged(pentagon):
     assert parse_json(json.dumps(render_json(doc))) == doc
 
 
+def test_document_provenance_ints_must_be_writable(pentagon):
+    # an int past the int-to-str digit limit was accepted, and then
+    # render_text raised a bare ValueError from json.dumps
+    big = {"a": 10**5000}
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        ColoringDocument(pentagon, provenance=big)
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        parse_json({**render_json(ColoringDocument(pentagon)), "provenance": big})
+    doc = ColoringDocument.sealed(pentagon, {"a": 10**4000, "b": [-(2**64)]})
+    assert round_trip_text(doc) == doc and round_trip_json(doc) == doc
+
+
 def test_readers_walk_a_provenance_only_when_it_may_not_read_back(
     pentagon, monkeypatch
 ):

@@ -3,6 +3,7 @@ and constructor signatures, the same for each of them."""
 
 import copy
 import pickle
+import typing
 
 import pytest
 
@@ -133,6 +134,23 @@ def test_constructor_takes_each_field_once_by_name_or_position(cls):
         cls(**fields, extra=1)
     with pytest.raises(TypeError):
         cls(*fields.values(), None)
+
+
+# the records that check their arguments before they store them
+CHECKED = {ColoringDocument, PatternSpec, SearchTask}
+
+
+@RECORDS
+def test_only_records_that_check_define_a_constructor(cls):
+    # the others take _Record's, and declare their fields' types as class
+    # annotations, in __slots__ order
+    assert ("__init__" in vars(cls)) == (cls in CHECKED)
+    if cls not in CHECKED:
+        assert tuple(vars(cls)["__annotations__"]) == cls.__slots__
+        assert tuple(typing.get_type_hints(cls)) == cls.__slots__
+    fields = FIELDS[cls]
+    with pytest.raises(TypeError):
+        cls(next(iter(fields.values())), **fields)  # the first field twice
 
 
 @RECORDS

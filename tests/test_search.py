@@ -235,6 +235,26 @@ def test_partial_coloring_api():
     assert pc.color_at(0, 1) == 0
 
 
+def test_partial_coloring_rejects_what_is_not_an_edge():
+    # assign(2, 2, 1) on K5 coloured edge (1, 4), index 6, and set a
+    # self-loop bit; unassign(2, 2) then cleared that colour but left the
+    # row bits; (0, 5) raised IndexError and (-1, 3) a negative shift
+    pc = PartialColoring(SearchTask(n=5, k=2, symmetry="none"))
+    pc.assign(1, 4, 1)
+    state = (list(pc.colors), [list(row) for row in pc.masks], list(pc.assigned))
+    for u, v in ((2, 2), (0, 5), (5, 0), (-1, 3), (3, -1)):
+        calls = ((pc.assign, (u, v, 1)), (pc.unassign, (u, v)), (pc.color_at, (u, v)))
+        for call, args in calls:
+            with pytest.raises(ValueError, match=r"no edge \(.*\) in K_5"):
+                call(*args)
+    for color in (True, 1.0):  # True was stored as the colour
+        with pytest.raises(ValueError, match="color must be an integer"):
+            pc.assign(0, 1, color)
+    assert (pc.colors, pc.masks, pc.assigned) == state
+    pc.unassign(4, 1)
+    assert not any(pc.colors) and not any(map(any, pc.masks)) and not any(pc.assigned)
+
+
 def test_incremental_conflict_triangle():
     task = SearchTask(n=3, k=2, forbidden=((K3, None),))
     pc = PartialColoring(task)
