@@ -30,12 +30,14 @@ class _Record:
     more fields, its parent's first.  The constructor takes them in that
     order, by position or by name, each exactly once, and raises
     TypeError for a missing, extra or repeated field, as a generated
-    ``__init__`` would; it stores each with ``object.__setattr__``.  A
-    call that passes every field by position skips the binding by name;
-    the detectors and searches build their thousands of records that
-    way.  A subclass that only stores gives its fields' types as class
-    annotations; one that checks its arguments defines its own
-    ``__init__``, typed, and ends it with one ``super().__init__`` call.
+    ``__init__`` would; it stores each with ``object.__setattr__``.  Fields
+    passed by position are stored as given, so the thousands of records
+    the detectors and searches build that way need no binding by name.
+    A subclass that only stores lists its fields' types, in order, as
+    class annotations; its signature, to ``inspect.signature``, ``help()``
+    and type checkers, is ``(*args, **kwargs)``.  One that checks its
+    arguments defines its own ``__init__``, typed, and ends it with one
+    ``super().__init__`` call.
 
     Two records are equal when they are of the same class and their
     fields are equal; a record hashes as the tuple of its fields, prints
@@ -54,23 +56,21 @@ class _Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self.__match_args__
-        if kwargs or len(args) != len(names):
-            where = f"{type(self).__qualname__}()"
-            if len(args) > len(names):
-                raise TypeError(f"{where} takes {len(names)} fields, got {len(args)}")
-            values = dict(zip(names, args))
-            for name, value in kwargs.items():
-                if name not in names:
-                    raise TypeError(f"{where} got an unexpected field {name!r}")
-                if name in values:
-                    raise TypeError(f"{where} got multiple values for field {name!r}")
-                values[name] = value
-            missing = [repr(name) for name in names if name not in values]
-            if missing:
-                raise TypeError(f"{where} missing fields {', '.join(missing)}")
-            args = [values[name] for name in names]
+        where = type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{where}() takes {len(names)} fields, got {len(args)}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
+        rest = names[len(args) :]
+        for name in rest:
+            if name not in kwargs:
+                missing = ", ".join(repr(name) for name in rest if name not in kwargs)
+                raise TypeError(f"{where}() missing fields {missing}")
+            object.__setattr__(self, name, kwargs[name])
+        if len(kwargs) > len(rest):
+            name = next(name for name in kwargs if name not in rest)
+            problem = "multiple values for" if name in names else "an unexpected"
+            raise TypeError(f"{where}() got {problem} field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -59,9 +59,11 @@ class FormatError(ValueError):
 def _reads_back(value: Any) -> bool:
     # whether json.loads(json.dumps(value)) == value.  json.dumps refuses a
     # set or another object (TypeError), a cycle and an int past the
-    # int-to-str digit limit (ValueError), and deep nesting (RecursionError)
+    # int-to-str digit limit (ValueError), and deep nesting (RecursionError).
+    # Each NaN reads back as a new float: json.loads' one shared NaN object
+    # would pass the identity check that list and dict == make first
     try:
-        return json.loads(json.dumps(value)) == value
+        return json.loads(json.dumps(value), parse_constant=float) == value
     except (TypeError, ValueError, RecursionError):
         return False
 

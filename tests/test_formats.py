@@ -428,6 +428,13 @@ def test_document_provenance_must_read_back_unchanged(pentagon):
             ColoringDocument.sealed(pentagon, provenance)
     with pytest.raises(FormatError, match="does not read back unchanged"):
         parse_text('2 1\n1\n# provenance: {"a": NaN}\n')
+    # json.loads gives every NaN as one shared object, which a list or dict
+    # compares equal to itself by identity
+    loaded_nan = json.loads('{"a": [NaN]}')
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        ColoringDocument(pentagon, provenance=loaded_nan)
+    with pytest.raises(FormatError, match="does not read back unchanged"):
+        parse_json({**render_json(ColoringDocument(pentagon)), "provenance": loaded_nan})
     provenance = {
         "s": "x",
         "i": -3,
