@@ -45,6 +45,16 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _read_json(path: str):
+    # json.loads raises RecursionError, a RuntimeError, on deep nesting;
+    # main reports RuntimeError as an engine fault, so it becomes bad input
+    text = Path(path).read_text(encoding="ascii")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"bad JSON in {path}: {exc}") from exc
+
+
 def parse_pattern(token: str) -> PatternSpec:
     """Pattern names accepted on the command line.
 
@@ -67,7 +77,7 @@ def parse_pattern(token: str) -> PatternSpec:
     if t.startswith("wheel:"):
         return PatternSpec.wheel(integer(t[6:]))
     if t.startswith("explicit:"):
-        raw = json.loads(Path(t[len("explicit:") :]).read_text(encoding="ascii"))
+        raw = _read_json(t[len("explicit:") :])
         if not isinstance(raw, dict):
             raise ValueError("explicit pattern file must hold a JSON object")
         return PatternSpec.from_json({**raw, "kind": "explicit"})
@@ -173,8 +183,7 @@ def cmd_peel(args) -> int:
 
 def _task_from_args(args) -> SearchTask:
     if args.task:
-        raw = json.loads(Path(args.task).read_text(encoding="ascii"))
-        return SearchTask.from_json(raw)
+        return SearchTask.from_json(_read_json(args.task))
     if args.n is None or args.k is None:
         raise ValueError("search needs --task or both --n and --k")
     forbidden = []

@@ -37,12 +37,11 @@ Design notes, fixed for reproducibility:
 * The walk is one loop over an explicit stack (colors tried, the
   ``colorSwap`` bound and the column's domains per position); it never
   recurses.  It writes each move straight into the `PartialColoring`'s
-  lists (the color, two row bits in that color, two ``assigned`` bits);
-  `PartialColoring.assign` and ``unassign`` are the checked API for
-  every other caller.  A move is held, pruned or not, until the loop
-  comes back to its position, to try the next color or to backtrack
-  past it, and is taken back there, in one place.  The domains are one
-  list per position, copied on each move, so backtracking drops them.
+  lists (the color, two row bits in that color, two ``assigned`` bits).
+  A move is held, pruned or not, until the loop comes back to its
+  position, to try the next color or to backtrack past it, and is taken
+  back there, in one place.  The domains are one list per position,
+  copied on each move, so backtracking drops them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on).  It is rejected
   for color-scoped forbidden patterns, which color relabeling would
@@ -80,7 +79,6 @@ __all__ = [
     "SearchOutcome",
     "UnavoidableOutcome",
     "PartialColoring",
-    "incremental_conflict",
     "search_witness",
     "verify_unavoidable",
 ]
@@ -236,13 +234,13 @@ class PartialColoring:
 
     Color 0 means unassigned.  Tracks per-color neighbor bitmasks plus
     an any-color adjacency mask per vertex, which is all the conflict
-    kernels need.
+    kernels need.  Only `search_witness` writes the lists, unchecked;
+    ``masks``, ``assigned`` and `conflict` are what others may read.
     """
 
-    __slots__ = ("task", "n", "k", "colors", "masks", "assigned", "_rainbow", "_checks")
+    __slots__ = ("n", "k", "colors", "masks", "assigned", "_rainbow", "_checks")
 
     def __init__(self, task: SearchTask):
-        self.task = task
         self.n = task.n
         self.k = task.k
         self.colors = [0] * (task.n * (task.n - 1) // 2)
@@ -256,42 +254,6 @@ class PartialColoring:
             for c in range(task.k + 1)
         )
 
-    def _index(self, u: int, v: int) -> int:
-        # the index of edge (u, v), or ValueError if K_n has no such edge
-        if u > v:
-            u, v = v, u
-        if u == v or u < 0 or v >= self.n:
-            raise ValueError(f"no edge ({u},{v}) in K_{self.n}")
-        return edge_index(self.n, u, v)
-
-    def color_at(self, u: int, v: int) -> int:
-        return self.colors[self._index(u, v)]
-
-    def assign(self, u: int, v: int, color: int) -> None:
-        idx = self._index(u, v)
-        if not 1 <= exact_int(color, "color") <= self.k:
-            raise ValueError(f"color {color} outside 1..{self.k}")
-        if self.colors[idx]:
-            raise ValueError(f"edge ({u},{v}) already colored")
-        self.colors[idx] = color
-        row = self.masks[color]
-        row[u] |= 1 << v
-        row[v] |= 1 << u
-        self.assigned[u] |= 1 << v
-        self.assigned[v] |= 1 << u
-
-    def unassign(self, u: int, v: int) -> None:
-        idx = self._index(u, v)
-        color = self.colors[idx]
-        if not color:
-            raise ValueError(f"edge ({u},{v}) is not colored")
-        self.colors[idx] = 0
-        row = self.masks[color]
-        row[u] &= ~(1 << v)
-        row[v] &= ~(1 << u)
-        self.assigned[u] &= ~(1 << v)
-        self.assigned[v] &= ~(1 << u)
-
     def conflict(self, u: int, v: int, color: int) -> bool:
         """Does the edge (u, v), colored ``color``, complete a forbidden
         structure?  Only structures through it count; it may be open."""
@@ -304,16 +266,6 @@ class PartialColoring:
             if chk(adj, u, v):
                 return True
         return False
-
-
-def incremental_conflict(partial: PartialColoring, edge: tuple[int, int]) -> bool:
-    """True iff the already-colored ``edge`` completes a forbidden
-    structure of its task.  The edge must be assigned."""
-    u, v = edge
-    color = partial.color_at(u, v)
-    if color == 0:
-        raise ValueError(f"edge ({u},{v}) is not colored")
-    return partial.conflict(u, v, color)
 
 
 def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:

@@ -1,5 +1,6 @@
 """Independent reference implementations used to cross-check the fast
-detectors, plus small helpers for building test colorings.
+detectors and the search's conflict checks, plus small helpers for
+building test colorings and search states.
 
 Everything here enumerates vertex subsets and arrangements directly
 with `itertools` and `color_of` lookups.  No bitmask logic is shared
@@ -111,12 +112,39 @@ def oracle_for(pattern):
     return lambda c, i, p=pattern: has_mono_pattern(c, i, p)
 
 
+class PartialAssignment(dict):
+    """A partial coloring of K_n: a dict from edge (u, v), u < v, to its
+    color.  An edge not in it is open, color 0 to `color_at`."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def color_at(self, u: int, v: int) -> int:
+        return self.get((min(u, v), max(u, v)), 0)
+
+
+def fill(pc, assignment):
+    """Write ``assignment`` into the fresh search state ``pc`` (a
+    `PartialColoring`) and return it.  Each edge is written as the search
+    loop writes a move: its color at its row-major position, a bit in
+    each end's row of that color, a bit in each end's ``assigned`` mask.
+    """
+    position = {e: i for i, e in enumerate(combinations(range(pc.n), 2))}
+    for (u, v), color in assignment.items():
+        pc.colors[position[u, v]] = color
+        pc.masks[color][u] |= 1 << v
+        pc.masks[color][v] |= 1 << u
+        pc.assigned[u] |= 1 << v
+        pc.assigned[v] |= 1 << u
+    return pc
+
+
 def conflict_through_edge(c, pattern, color, edge) -> bool:
     """Does some embedding of ``pattern`` in class ``color`` use ``edge``?
 
-    ``c`` may be a partial assignment exposing color_at; unassigned
-    edges never match.  Used to cross-check incremental conflict
-    detection by full rescan.
+    ``c`` may be a `PartialAssignment`; open edges never match.  Used
+    to cross-check the search's through-edge conflicts by full rescan.
     """
     eu, ev = min(edge), max(edge)
     for sub in combinations(range(c.n), pattern.order):

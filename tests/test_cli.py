@@ -378,6 +378,21 @@ def test_explicit_pattern_file(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_deeply_nested_json_files_are_bad_input(tmp_path, capsys):
+    # json.loads raises RecursionError, a RuntimeError, on deep nesting,
+    # and main reports a RuntimeError as an engine self-check failure
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    path = save(tmp_path, "k6.grc", mono_k6())
+    for argv in (
+        ("verify", "--in", path, "--pattern", f"explicit:{deep}"),
+        ("search", "--n", "5", "--k", "2", "--pattern", f"explicit:{deep}"),
+        ("search", "--task", str(deep)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: bad JSON"), err
+
+
 def test_unknown_pattern_token(tmp_path, capsys):
     path = save(tmp_path, "k6.grc", mono_k6())
     code, _, err = run(capsys, "verify", "--in", path, "--pattern", "k9q")

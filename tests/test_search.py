@@ -12,7 +12,6 @@ from gallai import (
     SearchTask,
     find_mono,
     find_rainbow_triangle,
-    incremental_conflict,
     search_witness,
     verify_unavoidable,
 )
@@ -219,70 +218,33 @@ def test_scoped_color_task():
     assert find_mono(out.witness, K3, 1) is None
 
 
-def test_partial_coloring_api():
-    task = SearchTask(n=4, k=2, forbidden=((K3, None),))
-    pc = PartialColoring(task)
-    assert pc.color_at(0, 1) == 0
-    pc.assign(0, 1, 1)
-    assert pc.color_at(1, 0) == 1
-    with pytest.raises(ValueError):
-        pc.assign(0, 1, 2)  # already colored
-    with pytest.raises(ValueError):
-        pc.assign(0, 2, 3)  # color out of range
-    with pytest.raises(ValueError):
-        pc.unassign(2, 3)  # not colored
-    pc.unassign(0, 1)
-    assert pc.color_at(0, 1) == 0
-
-
-def test_partial_coloring_rejects_what_is_not_an_edge():
-    # assign(2, 2, 1) on K5 coloured edge (1, 4), index 6, and set a
-    # self-loop bit; unassign(2, 2) then cleared that colour but left the
-    # row bits; (0, 5) raised IndexError and (-1, 3) a negative shift
-    pc = PartialColoring(SearchTask(n=5, k=2, symmetry="none"))
-    pc.assign(1, 4, 1)
-    state = (list(pc.colors), [list(row) for row in pc.masks], list(pc.assigned))
-    for u, v in ((2, 2), (0, 5), (5, 0), (-1, 3), (3, -1)):
-        calls = ((pc.assign, (u, v, 1)), (pc.unassign, (u, v)), (pc.color_at, (u, v)))
-        for call, args in calls:
-            with pytest.raises(ValueError, match=r"no edge \(.*\) in K_5"):
-                call(*args)
-    for color in (True, 1.0):  # True was stored as the colour
-        with pytest.raises(ValueError, match="color must be an integer"):
-            pc.assign(0, 1, color)
-    assert (pc.colors, pc.masks, pc.assigned) == state
-    pc.unassign(4, 1)
-    assert not any(pc.colors) and not any(map(any, pc.masks)) and not any(pc.assigned)
-
-
 def test_incremental_conflict_triangle():
     task = SearchTask(n=3, k=2, forbidden=((K3, None),))
-    pc = PartialColoring(task)
-    pc.assign(0, 1, 1)
-    assert not incremental_conflict(pc, (0, 1))
-    pc.assign(0, 2, 1)
-    assert not incremental_conflict(pc, (0, 2))
-    pc.assign(1, 2, 1)
-    assert incremental_conflict(pc, (1, 2))
-    pc.unassign(1, 2)
-    pc.assign(1, 2, 2)
-    assert not incremental_conflict(pc, (1, 2))
-    with pytest.raises(ValueError):
-        incremental_conflict(pc, (0, 1)) if pc.color_at(0, 1) == 0 else None
-        pc2 = PartialColoring(task)
-        incremental_conflict(pc2, (0, 1))
+    partial = oracles.PartialAssignment(3)
+    partial[0, 1] = 1
+    assert not oracles.fill(PartialColoring(task), partial).conflict(0, 1, 1)
+    partial[0, 2] = 1
+    assert not oracles.fill(PartialColoring(task), partial).conflict(0, 2, 1)
+    partial[1, 2] = 1
+    assert oracles.fill(PartialColoring(task), partial).conflict(1, 2, 1)
+    partial[1, 2] = 2
+    assert not oracles.fill(PartialColoring(task), partial).conflict(1, 2, 2)
+    # an edge of the empty coloring completes nothing, in either color
+    empty = PartialColoring(task)
+    assert not empty.conflict(0, 1, 1) and not empty.conflict(0, 1, 2)
 
 
 def test_incremental_conflict_scoped_color():
     task = SearchTask(n=4, k=2, forbidden=((P3, 1),), symmetry="none")
-    pc = PartialColoring(task)
-    pc.assign(0, 1, 1)
-    pc.assign(0, 2, 1)
-    assert incremental_conflict(pc, (0, 2))  # path 1-0-2 in color 1
-    pc.unassign(0, 2)
-    pc.assign(0, 2, 2)
-    pc.assign(0, 3, 2)
-    assert not incremental_conflict(pc, (0, 3))  # color 2 paths are allowed
+    partial = oracles.PartialAssignment(4)
+    partial[0, 1] = 1
+    partial[0, 2] = 1
+    pc = oracles.fill(PartialColoring(task), partial)
+    assert pc.conflict(0, 2, 1)  # path 1-0-2 in color 1
+    partial[0, 2] = 2
+    partial[0, 3] = 2
+    pc = oracles.fill(PartialColoring(task), partial)
+    assert not pc.conflict(0, 3, 2)  # color 2 paths are allowed
 
 
 def test_incremental_conflict_vs_rescan_oracle():
@@ -293,18 +255,16 @@ def test_incremental_conflict_vs_rescan_oracle():
         k = rng.randint(1, 3)
         forbidden = PATTERN_MENU[trial % len(PATTERN_MENU)]
         task = SearchTask(n=n, k=k, forbidden=forbidden, symmetry="none")
-        pc = PartialColoring(task)
+        partial = oracles.PartialAssignment(n)
         edges = list(combinations(range(n), 2))
         rng.shuffle(edges)
-        filled = []
-        for u, v in edges[: rng.randint(2, len(edges))]:
-            pc.assign(u, v, rng.randint(1, k))
-            filled.append((u, v))
-        for edge in filled:
-            fast = incremental_conflict(pc, edge)
-            color = pc.color_at(*edge)
+        for edge in edges[: rng.randint(2, len(edges))]:
+            partial[edge] = rng.randint(1, k)
+        pc = oracles.fill(PartialColoring(task), partial)
+        for edge, color in partial.items():
+            fast = pc.conflict(*edge, color)
             slow = any(
-                oracles.conflict_through_edge(pc, pat, color, edge)
+                oracles.conflict_through_edge(partial, pat, color, edge)
                 for pat, scope in forbidden
                 if scope is None or scope == color
             )
@@ -328,18 +288,20 @@ def test_conflict_on_open_edge_equals_conflict_after_assign():
             forbid_rainbow_triangle=trial // len(PATTERN_MENU) % 2 == 1,
             symmetry="none",
         )
-        pc = PartialColoring(task)
+        partial = oracles.PartialAssignment(n)
         edges = list(combinations(range(n), 2))
         rng.shuffle(edges)
         cut = rng.randint(1, len(edges) - 1)
-        for u, v in edges[:cut]:
-            pc.assign(u, v, rng.randint(1, k))
+        for edge in edges[:cut]:
+            partial[edge] = rng.randint(1, k)
+        pc = oracles.fill(PartialColoring(task), partial)
         for u, v in edges[cut:]:
             for color in range(1, k + 1):
                 open_answer = pc.conflict(u, v, color)
-                pc.assign(u, v, color)
-                assert pc.conflict(u, v, color) == open_answer, (task, u, v, color)
-                pc.unassign(u, v)
+                partial[u, v] = color
+                closed = oracles.fill(PartialColoring(task), partial)
+                assert closed.conflict(u, v, color) == open_answer, (task, u, v, color)
+                del partial[u, v]
                 checked += 1
     assert checked >= 1000
 
@@ -448,15 +410,15 @@ def test_incremental_rainbow_vs_rescan():
     rng = random.Random(515)
     task = SearchTask(n=7, k=4, forbid_rainbow_triangle=True, symmetry="none")
     for trial in range(60):
-        pc = PartialColoring(task)
+        partial = oracles.PartialAssignment(7)
         edges = list(combinations(range(7), 2))
         rng.shuffle(edges)
-        filled = edges[: rng.randint(3, len(edges))]
-        for u, v in filled:
-            pc.assign(u, v, rng.randint(1, 4))
-        for edge in filled:
-            assert incremental_conflict(pc, edge) == oracles.rainbow_through_edge(
-                pc, edge
+        for edge in edges[: rng.randint(3, len(edges))]:
+            partial[edge] = rng.randint(1, 4)
+        pc = oracles.fill(PartialColoring(task), partial)
+        for edge, color in partial.items():
+            assert pc.conflict(*edge, color) == oracles.rainbow_through_edge(
+                partial, edge
             )
 
 

@@ -261,9 +261,8 @@ def partial_coloring_writes(tree: ast.Module, state: set[str]):
 
 def test_only_search_writes_partial_coloring_state():
     # search_witness writes its moves straight into a PartialColoring's
-    # lists, without assign's checks; every other module goes through the
-    # checked assign and unassign, so the unchecked bookkeeping stays in
-    # search.py
+    # lists, unchecked, and the class has no edit API; no other module
+    # writes them, so the unchecked bookkeeping stays in search.py
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     state = {"colors", "masks", "assigned"}
     assert state <= class_slots(tree, "PartialColoring")
