@@ -12,6 +12,7 @@ agree edge by edge, and `canonical_digest` hashes the labeled object.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import exact_int
@@ -52,14 +53,17 @@ class EdgeColoring:
     on the first call to `neighbors`, `rows` or `colors_used` and kept.
     Every argument of these accessors and of `color_of` is an int proper.
 
+    The colors are held once: as ``bytes``, one per edge, when k < 256,
+    and as a tuple of ints above that.  The digest, the ``.grc`` rows and
+    the dense row build read this store, and `edge_colors` copies it.
     Each color is checked once, where it enters the package.  The
-    constructor checks every color: ``bytes`` (which `parse_text` passes
-    for rows of one-digit colors) by one ``translate`` that deletes 1..k,
-    and keeps them for the digest, the ``.grc`` rows and the dense build;
-    anything else by type, ``min`` and ``max`` over the tuple.  A failure
-    scans the edges to name the first bad one.  `restrict`, `join` and
-    `substitute` skip the checks: their colors come from checked
-    colorings, within the widest palette among their operands.
+    constructor checks ``bytes`` (which `parse_text` passes for rows of
+    one-digit colors) by one ``translate`` that deletes 1..k, anything
+    else by type, ``min`` and ``max``.  A failure scans the edges to name
+    the first bad one.  `restrict`, `join` and `substitute` skip the
+    checks and build their result's store directly: their colors come
+    from checked colorings, within the widest palette among their
+    operands.
 
     The rows come from one of two builds with the same result.  The
     per-edge loop sets two bits per edge in Python.  The dense build
@@ -70,17 +74,17 @@ class EdgeColoring:
     colors are used (about 30 at large n), and takes a fifth of the
     loop's time at n = 350 with six.
     It runs when at most ``min(n - 20, 150) // 10`` colors are used, a
-    margin below that, and k < 256, so that each color fits in a byte.
+    margin below that, and k < 256, where the store is bytes.
     Below n = 30 the loop always runs: there the choice would cost about
     as much as the dense build can save.
 
     Besides the rows, a coloring keeps what is made from it on first use,
-    which never goes stale: the colors as ``bytes`` (k < 256), the digest,
-    and the Gallai proof (the top split and whether there is a rainbow
-    triangle) that `find_rainbow_triangle` and `find_gallai_partition` share.
+    which never goes stale: the digest and the Gallai proof (the top split
+    and whether there is a rainbow triangle) that `find_rainbow_triangle`
+    and `find_gallai_partition` share.
     """
 
-    __slots__ = ("n", "k", "_colors", "_bytes", "_masks", "_digest", "_proof")
+    __slots__ = ("n", "k", "_colors", "_masks", "_digest", "_proof")
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
         # ints proper: the checks below would let a float n or k through
@@ -89,47 +93,41 @@ class EdgeColoring:
         if exact_int(k, "k") < 1:
             raise ValueError(f"palette must have at least one color, got k={k}")
         m = n * (n - 1) // 2
-        data = colors if type(colors) is bytes else None
-        colors = tuple(colors)
+        if type(colors) not in (bytes, list, tuple):
+            colors = tuple(colors)
         if len(colors) != m:
             raise ValueError(f"expected {m} edge colors for n={n}, got {len(colors)}")
-        _fill(self, n, k, colors, data)
         # bytes hold ints: deleting 1..k leaves only the bad colours.
         # Otherwise type before range: bool is an int subclass, not a
         # color, and min/max over mixed types would raise TypeError.  The
         # edge scan runs only to name the first offending edge
-        if data is not None:
-            bad = bool(data.translate(None, bytes(range(1, min(k, 255) + 1))))
+        if type(colors) is bytes:
+            bad = bool(colors.translate(None, bytes(range(1, min(k, 255) + 1))))
         else:
             bad = bool(colors) and (
                 set(map(type, colors)) != {int} or min(colors) < 1 or max(colors) > k
             )
         if bad:
-            u, v, c = next(
-                (u, v, c)
-                for u, v, c in self.edges()
+            pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+            (u, v), c = next(
+                (e, c)
+                for e, c in zip(pairs, colors)
                 if type(c) is not int or not 1 <= c <= k
             )
             raise ValueError(f"edge ({u},{v}) has color {c!r}, not in 1..{k}")
-
-    def _color_bytes(self) -> bytes:
-        # the colours as one bytes object, made once and kept; only for k < 256
-        if self._bytes is None:
-            self._bytes = bytes(self._colors)
-        return self._bytes
+        _fill(self, n, k, colors)
 
     def _rows_by_color(self) -> dict[int, tuple[int, ...]]:
         if self._masks is None:
             n, k, colors = self.n, self.k, self._colors
             few = min(n - 20, 150) // 10  # see the class docstring
             used: list[int] = []
-            # bytes hold colours up to 255; vertex 0's edges are a cheap
+            # the store is bytes for k < 256; vertex 0's edges are a cheap
             # first look at whether too many colours are used
             if few > 0 and k < 256 and len(set(colors[: n - 1])) <= few:
-                data = self._color_bytes()
-                used = [c for c in range(1, k + 1) if c in data]
+                used = [c for c in range(1, k + 1) if c in colors]
             if 0 < len(used) <= few:
-                self._masks = _dense_rows(n, data, used)
+                self._masks = _dense_rows(n, colors, used)
             else:
                 self._masks = _edge_rows(n, colors)
         return self._masks
@@ -172,16 +170,13 @@ class EdgeColoring:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, color) with u < v, ascending in (u, v)."""
-        i = 0
-        colors = self._colors
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield u, v, colors[i]
-                i += 1
+        n, colors = self.n, iter(self._colors)
+        return ((u, v, next(colors)) for u in range(n) for v in range(u + 1, n))
 
     @property
     def edge_colors(self) -> tuple[int, ...]:
-        return self._colors
+        """The colors as a tuple of ints in `edges()` order, built per call: O(m)."""
+        return tuple(self._colors)
 
     @property
     def vertex_mask(self) -> int:
@@ -190,9 +185,7 @@ class EdgeColoring:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return (
-            self.n == other.n and self.k == other.k and self._colors == other._colors
-        )
+        return (self.n, self.k, self._colors) == (other.n, other.k, other._colors)
 
     def __hash__(self) -> int:
         return hash((self.n, self.k, self._colors))
@@ -201,32 +194,37 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, k={self.k})"
 
 
-def _fill(
-    c: EdgeColoring, n: int, k: int, colors: tuple[int, ...], data: bytes | None
-) -> None:
-    c.n, c.k, c._colors, c._bytes = n, k, colors, data
-    # built on first use and kept: the colour -> rows map, the digest and
-    # the Gallai proof
+def _store(k: int) -> tuple[type, Callable]:
+    # the colour store of palette 1..k, one byte per edge while every colour
+    # fits in a byte, and the join of a list of its pieces
+    if k < 256:
+        return bytes, b"".join
+    return tuple, lambda pieces: tuple(chain.from_iterable(pieces))
+
+
+def _fill(c: EdgeColoring, n: int, k: int, colors: Sequence[int]) -> EdgeColoring:
+    # the one place that picks the store: bytes() and tuple() keep an object
+    # of their own type as it is.  The colour -> rows map, the digest and the
+    # Gallai proof are built on first use
+    c.n, c.k, c._colors = n, k, _store(k)[0](colors)
     c._masks = c._digest = c._proof = None
-
-
-def _unchecked(n: int, k: int, colors: Iterable[int]) -> EdgeColoring:
-    # a coloring without the checks: only for operator results, whose
-    # colors all come from checked colorings with palettes within 1..k
-    c = object.__new__(EdgeColoring)
-    _fill(c, n, k, tuple(colors), None)
     return c
 
 
+def _unchecked(n: int, k: int, colors: Sequence[int]) -> EdgeColoring:
+    # a coloring without the checks: only for operator results, whose
+    # colors all come from checked colorings with palettes within 1..k
+    return _fill(object.__new__(EdgeColoring), n, k, colors)
+
+
 def _edge_rows(n: int, colors: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    # the per-edge loop: two row bits per edge
+    # the per-edge loop: two row bits per edge.  Iterating reads a bytes
+    # store as fast as a tuple; indexing it is slower
     masks: dict[int, list[int]] = {}
-    i = 0
+    colors = iter(colors)
     for u in range(n):
         bit_u = 1 << u
-        for v in range(u + 1, n):
-            c = colors[i]
-            i += 1
+        for v, c in zip(range(u + 1, n), colors):
             row = masks.get(c)
             if row is None:
                 row = masks[c] = [0] * n
@@ -332,20 +330,18 @@ def substitute(
             if shared:
                 raise ValueError(f"part {i} reuses quotient colors {sorted(shared)}")
     k = max(quotient.k, max(part.k for part in parts))
-    qcolors = iter(quotient.edge_colors)  # row-major: (i, j) for j > i in turn
-    out: list[int] = []
+    store, cat = _store(k)
+    qcolors = iter(quotient._colors)  # row-major: (i, j) for j > i in turn
+    pieces = []
     for i, part in enumerate(parts):
         # each output row: a slice of its part's row, then this cross tail
-        tail: list[int] = []
-        for later in parts[i + 1 :]:
-            tail += [next(qcolors)] * later.n
-        colors = part._colors
+        tail = cat([store((next(qcolors),)) * later.n for later in parts[i + 1 :]])
+        colors = part._colors  # bytes in a tuple result too: chain reads ints
         start = 0
         for width in range(part.n - 1, -1, -1):  # row u holds part.n-1-u edges
-            out += colors[start : start + width]
-            out += tail
+            pieces += (colors[start : start + width], tail)
             start += width
-    return _unchecked(sum(part.n for part in parts), k, out)
+    return _unchecked(sum(part.n for part in parts), k, cat(pieces))
 
 
 def recolor(
@@ -360,7 +356,7 @@ def recolor(
     for key, value in mapping.items():
         exact_int(key, "renamed color")
         exact_int(value, "mapped color")
-    out = [mapping.get(col, col) for col in c.edge_colors]
+    out = [mapping.get(col, col) for col in c._colors]
     if any(col < 1 for col in out):
         raise ValueError("recoloring must keep colors positive")
     if k is None:
@@ -400,7 +396,7 @@ def _color_text(c: EdgeColoring, row_end: str) -> str:
         # one digit per colour: the digits go at the even bytes of a
         # template whose odd bytes are the separators
         out = bytearray(b" ") * (2 * len(colors))
-        out[::2] = c._color_bytes().translate(_DIGITS)
+        out[::2] = colors.translate(_DIGITS)
         end = ord(row_end)
         pos = -1
         for width in range(n - 1, 0, -1):

@@ -45,8 +45,10 @@ def _edges_of(kind: str, order: int, edges: Iterable[tuple[int, int]] = ()):
     if not 2 <= order <= _EXPLICIT_MAX:
         raise ValueError(f"explicit pattern order must be 2..{_EXPLICIT_MAX}")
     seen = set()
-    for u, v in edges:
-        u, v = exact_int(u, "pattern edge end"), exact_int(v, "pattern edge end")
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValueError(f"pattern edge {edge!r} is not a pair")
+        u, v = (exact_int(end, "pattern edge end") for end in edge)
         if u == v:
             raise ValueError(f"pattern edge ({u},{v}) is a loop")
         if u > v:

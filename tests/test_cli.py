@@ -393,6 +393,24 @@ def test_deeply_nested_json_files_are_bad_input(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error: bad JSON"), err
 
 
+def test_explicit_pattern_edges_must_be_pairs(tmp_path, capsys):
+    # each explicit edge is unpacked into two ends; a shorter or longer
+    # entry is bad input that names itself
+    path = save(tmp_path, "k6.grc", mono_k6())
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"order": 3, "edges": [[[0, 1]]]}))
+    triple = {"kind": "explicit", "order": 3, "edges": [[0, 1, 2]]}
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"n": 5, "k": 2, "forbidden": [{"pattern": triple}]}))
+    for argv, entry in (
+        (("verify", "--in", path, "--pattern", f"explicit:{nested}"), "[[0, 1]]"),
+        (("search", "--task", str(task)), "[0, 1, 2]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: pattern edge {entry} is not a pair"), err
+
+
 def test_unknown_pattern_token(tmp_path, capsys):
     path = save(tmp_path, "k6.grc", mono_k6())
     code, _, err = run(capsys, "verify", "--in", path, "--pattern", "k9q")

@@ -380,6 +380,58 @@ def test_operator_results_on_the_tower_match_checked(k, base14):
     assert_as_checked(substitute(EdgeColoring(2, 1, [1]), [base14, tower]))
 
 
+def colors_by_edges(quotient, parts):
+    # the colours of substitute(quotient, parts), written edge by edge from
+    # the operands: a part's own colour inside it, the quotient's across
+    where = [(i, v) for i, part in enumerate(parts) for v in range(part.n)]
+    out = []
+    for a, (i, u) in enumerate(where):
+        for j, v in where[a + 1 :]:
+            out.append(parts[i].color_of(u, v) if i == j else quotient.color_of(i, j))
+    return out
+
+
+def some_coloring(rng, n, k, top):
+    # colours drawn from 1..top under the declared palette 1..k
+    return EdgeColoring(n, k, [rng.randint(1, top) for _ in range(n * (n - 1) // 2)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_operator_results_switch_store_at_256_colors(seed):
+    # bytes for k < 256, a tuple above that: operands of one kind, of the
+    # other and mixed, whichever palette the result takes
+    rng = random.Random(seed)
+    low, low2 = some_coloring(rng, 6, 7, 7), some_coloring(rng, 5, 255, 255)
+    high, high2 = some_coloring(rng, 5, 300, 300), some_coloring(rng, 4, 260, 9)
+    cases = []
+    for quotient, parts in (
+        (EdgeColoring(3, 9, [8, 9, 8]), [low, low2, low]),
+        (EdgeColoring(2, 400, [400]), [high, high2]),
+        (EdgeColoring(3, 300, [300, 299, 1]), [low, low2, low]),  # low parts
+        (EdgeColoring(3, 9, [9, 8, 9]), [low, high, low2]),  # a high part
+    ):
+        cases.append((substitute(quotient, parts), colors_by_edges(quotient, parts)))
+    for c1, c2, fresh in (
+        (low, low, 8),
+        (low, low2, 256),  # low operands, a fresh colour past a byte
+        (low, high2, 10),
+        (high, high2, 301),
+    ):
+        fresh_quotient = EdgeColoring(2, fresh, [fresh])
+        cases.append((join(c1, c2, fresh), colors_by_edges(fresh_quotient, [c1, c2])))
+    for c in (low, low2, high, high2):
+        vs = sorted(rng.sample(range(c.n), 3))
+        want = [c.color_of(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+        cases.append((restrict(c, vs), want))
+    for r, want in cases:
+        checked = EdgeColoring(r.n, r.k, want)
+        assert r == checked
+        assert (type(r._colors) is bytes) == (r.k < 256)
+        assert type(r.edge_colors) is tuple and r.edge_colors == tuple(want)
+        assert canonical_digest(r) == canonical_digest(checked)
+    assert {r.k < 256 for r, _ in cases} == {True, False}
+
+
 def test_operators_take_colorings_only(pentagon):
     # they read their operands' colours unchecked, so nothing else will do
     for call in (
@@ -544,7 +596,7 @@ def test_equality_ignores_filled_caches(c, filled):
     for accessor in sorted(filled):
         touch(warm, accessor)
     assert fresh == warm and warm == fresh
-    assert hash(fresh) == hash(warm) == hash((c.n, c.k, c.edge_colors))
+    assert hash(fresh) == hash(warm)
     assert len({fresh, warm}) == 1
 
 

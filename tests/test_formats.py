@@ -112,25 +112,29 @@ def test_wide_palettes_and_loose_rows_round_trip():
 def test_both_row_readers_agree():
     # rows of one-digit tokens become the colours' bytes in one pass; any
     # other token (a leading zero, a colour of 10 or more) goes through the
-    # per-token table.  Which reader ran shows in the kept bytes, before
-    # anything else (a digest comment's check) fills them
+    # per-token table.  Either way the coloring holds one store: bytes for
+    # k < 256, a tuple of ints above that
     rng = random.Random(13)
     low = oracles.arbitrary_coloring(12, 6, seed=1)
     wide_low = EdgeColoring(12, 12, [rng.randint(1, 9) for _ in range(66)])
     wide = EdgeColoring(12, 12, [rng.randint(1, 12) for _ in range(66)])
+    past_byte_low = EdgeColoring(12, 300, [rng.randint(1, 9) for _ in range(66)])
+    past_byte = EdgeColoring(12, 300, [rng.randint(1, 300) for _ in range(66)])
     canonical = render_text(ColoringDocument(low))
     loose = canonical.replace(" ", "  \t ")
     first = canonical.split("\n")[2].split(" ")[0]
     zero = canonical.replace(f"\n{first} ", f"\n0{first} ", 1)
-    for text, c, as_bytes in (
-        (canonical, low, True),
-        (loose, low, True),
-        (zero, low, False),
-        (render_text(ColoringDocument(wide_low)), wide_low, True),
-        (render_text(ColoringDocument(wide)), wide, False),
+    for text, c in (
+        (canonical, low),
+        (loose, low),
+        (zero, low),
+        (render_text(ColoringDocument(wide_low)), wide_low),
+        (render_text(ColoringDocument(wide)), wide),
+        (render_text(ColoringDocument(past_byte_low)), past_byte_low),
+        (render_text(ColoringDocument(past_byte)), past_byte),
     ):
         got = parse_text(text).coloring
-        assert (got._bytes is not None) == as_bytes
+        assert type(got._colors) is (bytes if c.k < 256 else tuple)
         assert got == c and got.edge_colors == c.edge_colors
         assert canonical_digest(got) == canonical_digest(c)
         doc = parse_text(text + f"# digest: {canonical_digest(c)}\n")

@@ -158,14 +158,15 @@ def referenced_names(node: ast.AST):
 
 
 def test_only_coloring_reads_edge_coloring_private_slots():
-    # the colour bytes, the rows and the digest are filled on first use by
-    # coloring.py's accessors; a direct read elsewhere could see an empty
-    # cache.  The helpers that fill a coloring without the colour checks
-    # (and __new__, which would skip them too) are coloring.py's alone, so
-    # only its operators build a coloring that is not checked
+    # the colour store's type is coloring.py's choice, and the rows and the
+    # digest are filled on first use by its accessors; a direct read
+    # elsewhere could see another type or an empty cache.  The helpers that
+    # fill a coloring without the colour checks (and __new__, which would
+    # skip them too) are coloring.py's alone, so only its operators build a
+    # coloring that is not checked
     tree = ast.parse((PACKAGE / "coloring.py").read_text(encoding="utf-8"))
     slots = {s for s in class_slots(tree, "EdgeColoring") if s.startswith("_")}
-    assert {"_colors", "_bytes", "_masks", "_digest", "_proof"} <= slots
+    assert {"_colors", "_masks", "_digest", "_proof"} <= slots
     builders = {"_unchecked", "_fill"}
     assert builders <= {name for _, name in module_level_names(tree)}
     private = slots | builders | {"__new__"}
