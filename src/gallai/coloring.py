@@ -194,19 +194,16 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, k={self.k})"
 
 
-def _store(k: int) -> tuple[type, Callable]:
-    # the colour store of palette 1..k, one byte per edge while every colour
-    # fits in a byte, and the join of a list of its pieces
-    if k < 256:
-        return bytes, b"".join
-    return tuple, lambda pieces: tuple(chain.from_iterable(pieces))
+# the colour store of palette 1..k and the join of a list of its pieces,
+# indexed by k >= 256: one byte per edge while every colour fits in a byte
+_STORES = (bytes, b"".join), (tuple, lambda pieces: tuple(chain.from_iterable(pieces)))
 
 
 def _fill(c: EdgeColoring, n: int, k: int, colors: Sequence[int]) -> EdgeColoring:
-    # the one place that picks the store: bytes() and tuple() keep an object
-    # of their own type as it is.  The colour -> rows map, the digest and the
-    # Gallai proof are built on first use
-    c.n, c.k, c._colors = n, k, _store(k)[0](colors)
+    # the one place that converts to the store: bytes() and tuple() keep an
+    # object of their own type as it is.  The colour -> rows map, the digest
+    # and the Gallai proof are built on first use
+    c.n, c.k, c._colors = n, k, _STORES[k >= 256][0](colors)
     c._masks = c._digest = c._proof = None
     return c
 
@@ -330,12 +327,15 @@ def substitute(
             if shared:
                 raise ValueError(f"part {i} reuses quotient colors {sorted(shared)}")
     k = max(quotient.k, max(part.k for part in parts))
-    store, cat = _store(k)
+    store, cat = _STORES[k >= 256]  # built in the type _fill keeps
     qcolors = iter(quotient._colors)  # row-major: (i, j) for j > i in turn
     pieces = []
     for i, part in enumerate(parts):
         # each output row: a slice of its part's row, then this cross tail
-        tail = cat([store((next(qcolors),)) * later.n for later in parts[i + 1 :]])
+        runs = []  # quotient colour (i, j), once per vertex of part j
+        for later in parts[i + 1 :]:
+            runs.append(store((next(qcolors),)) * later.n)
+        tail = cat(runs)
         colors = part._colors  # bytes in a tuple result too: chain reads ints
         start = 0
         for width in range(part.n - 1, -1, -1):  # row u holds part.n-1-u edges
