@@ -157,8 +157,8 @@ def _digit_tokens(line: str, lineno: int) -> tuple[list[str], str]:
     return tokens, joined
 
 
-def _ints(tokens: list[str], lines: list[tuple[int, str]]) -> list[int]:
-    # the values of the digit tokens read from lines, one int() per
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    # the values of the digit tokens read from one line, one int() per
     # distinct token; int() raises ValueError past the interpreter's limit
     # on digits (4,300 by default, leading zeros included), so the longest
     # token is one it refused
@@ -167,7 +167,6 @@ def _ints(tokens: list[str], lines: list[tuple[int, str]]) -> list[int]:
         value = {t: int(t) for t in distinct}
     except ValueError as exc:
         bad = max(distinct, key=len)
-        lineno = next(no for no, line in lines if bad in line.split())
         raise FormatError(f"line {lineno}: {len(bad)}-digit integer is too long") from exc
     return list(map(value.__getitem__, tokens))
 
@@ -211,13 +210,14 @@ def parse_text(text: str) -> ColoringDocument:
     dims, _ = _digit_tokens(head, head_no)
     if len(dims) != 2:
         raise FormatError(f"line {head_no}: header must be 'n k'")
-    n, k = _ints(dims, data_lines[:1])
+    n, k = _ints(dims, head_no)
     if n < 1 or k < 1:
         raise FormatError(f"line {head_no}: need n >= 1 and k >= 1, got {n} {k}")
     rows = data_lines[1:]
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
-    pieces: list[str] = []  # each row's digits, joined
+    # each row's digits, joined, while every token is one digit
+    pieces: Optional[list[str]] = []
     for u, (lineno, line) in enumerate(rows):
         # one digit, one space, ...: the row render_text writes for k <= 9,
         # whose digits are its even characters.  Any other row is split
@@ -227,18 +227,31 @@ def parse_text(text: str) -> ColoringDocument:
         else:
             tokens, digits = _digit_tokens(line, lineno)
             count = len(tokens)
+            if len(digits) != count:
+                pieces = None  # a multi-digit token: the rows are read below
         if count != n - 1 - u:
             raise FormatError(
                 f"line {lineno}: row {u} must list {n - 1 - u} colors, got {count}"
             )
-        pieces.append(digits)
-    # as many digits as tokens: each token is one digit, as render_text
-    # writes for k <= 9, and the colours are those digits as bytes
-    digits = "".join(pieces)
-    if len(digits) == n * (n - 1) // 2:
-        colors = digits.encode("ascii").translate(_DIGIT_VALUES)
+        if pieces is not None:
+            pieces.append(digits)
+    if pieces is not None:
+        # each token is one digit, as render_text writes for k <= 9, and
+        # the colours are those digits as bytes
+        colors = "".join(pieces).encode("ascii").translate(_DIGIT_VALUES)
     else:
-        colors = _ints([t for _, line in rows for t in line.split()], rows)
+        # a row at a time into the store EdgeColoring keeps, bytes for
+        # k < 256.  A colour past 255 is past k there: the rest goes to a
+        # list, and the constructor names the first bad edge
+        store: Union[bytearray, list[int]] = bytearray() if k < 256 else []
+        for lineno, line in rows:
+            values = _ints(line.split(), lineno)
+            try:
+                store.extend(values)
+            except ValueError:
+                store = [*store, *values]
+        colors = bytes(store) if type(store) is bytearray else store
+    del lines, data_lines, rows, pieces  # free the text's rows before the digest check
     try:
         coloring = EdgeColoring(n, k, colors)
     except ValueError as exc:

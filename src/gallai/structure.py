@@ -13,7 +13,7 @@ joined to everything below them in a single color.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .coloring import EdgeColoring, _mask_of, _proved
 from .detect import _gallai_proof, find_mono, find_rainbow_triangle
@@ -85,10 +85,9 @@ class ApexSequence(_Record):
         }
 
 
-PartitionLike = Union[GallaiPartition, Sequence[Iterable[int]]]
-
-
-def _normalize_parts(c: EdgeColoring, partition: PartitionLike):
+def _normalize_parts(
+    c: EdgeColoring, partition: GallaiPartition | Sequence[Iterable[int]]
+):
     if isinstance(partition, GallaiPartition):
         partition = partition.parts
     parts = []
@@ -142,7 +141,9 @@ def _check_pairs(c: EdgeColoring, parts):
     return violations, cross, pair_color
 
 
-def verify_gallai_partition(c: EdgeColoring, partition: PartitionLike) -> PartitionCheck:
+def verify_gallai_partition(
+    c: EdgeColoring, partition: GallaiPartition | Sequence[Iterable[int]]
+) -> PartitionCheck:
     """Check a claimed Gallai partition; malformed input raises ValueError.
 
     Violations reported: fewer than two parts, a pair of parts joined in
@@ -232,7 +233,9 @@ def find_gallai_partition(c: EdgeColoring) -> GallaiPartition:
     raise PreconditionError(f"rainbow triangle at vertices {rainbow.vertex_map}")
 
 
-def reduced_graph(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
+def reduced_graph(
+    c: EdgeColoring, partition: GallaiPartition | Sequence[Iterable[int]]
+) -> EdgeColoring:
     """Contract each part to one vertex, keeping the cross colors.
 
     Part i of the partition becomes vertex i.  The partition must be a

@@ -7,7 +7,7 @@ rebuilding the object.  Traces serialize to plain JSON dicts.
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any
 
 from .coloring import EdgeColoring
 from .errors import _Record, exact_int
@@ -55,7 +55,7 @@ class BlowupTrace(_Record):
     colors: tuple[int, ...]
 
 
-ConstructionTrace = Union[BaseTrace, JoinTrace, BlowupTrace]
+ConstructionTrace = BaseTrace | JoinTrace | BlowupTrace
 
 
 def validate_trace(trace: ConstructionTrace) -> None:
@@ -170,3 +170,5 @@ def trace_from_json(data: dict[str, Any]) -> ConstructionTrace:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from exc
+    except RecursionError as exc:  # a tree nested past the interpreter's limit
+        raise ValueError("malformed trace JSON: nested too deeply") from exc

@@ -697,3 +697,15 @@ def test_trace_json_round_trip(pentagon):
     for key in ("label", "digest"):
         with pytest.raises(ValueError):
             trace_from_json({k: v for k, v in base_data.items() if k != key})
+
+
+def test_trace_json_nested_past_the_recursion_limit_is_malformed(pentagon):
+    # a join chain deeper than the interpreter's recursion limit is refused
+    # with the ValueError of any other malformed trace, not RecursionError
+    leaf = trace_to_json(_base_trace(pentagon))
+    join = {"op": "join", "right": leaf, "fresh_color": 3, "size": 10, "colors": [1, 2, 3]}
+    node = leaf
+    for _ in range(3000):
+        node = {**join, "left": node}
+    with pytest.raises(ValueError, match="^malformed trace JSON: nested too deeply$"):
+        trace_from_json(node)

@@ -153,6 +153,46 @@ def test_both_row_readers_agree():
         assert str(exc.value) == f"edge {edge} has color {color}, not in 1..{k}"
 
 
+def test_multi_digit_rows_are_read_one_row_at_a_time(monkeypatch):
+    # a document with a colour of 10 or more is converted row by row into
+    # one store, with no list of the whole file's tokens or ints
+    calls = []
+    real = formats_module._ints
+    monkeypatch.setattr(
+        formats_module, "_ints", lambda tokens, no: calls.append(tokens) or real(tokens, no)
+    )
+    rng = random.Random(23)
+    for n, k in ((20, 10), (20, 12), (20, 300)):
+        c = EdgeColoring(n, k, [rng.randint(1, k) for _ in range(n * (n - 1) // 2)])
+        text = render_text(ColoringDocument(c))
+        calls.clear()
+        got = parse_text(text).coloring
+        assert got == c and canonical_digest(got) == canonical_digest(c)
+        assert type(got._colors) is (bytes if k < 256 else tuple)
+        rows = text.split("\n")[2:-1]
+        assert calls == [[str(n), str(k)]] + [row.split() for row in rows]
+
+
+def test_multi_digit_rows_keep_their_messages():
+    # the messages of the whole-file reader: the first bad edge in
+    # row-major order, a row count before any colour, the too-long token
+    long = "1" * 5000
+    for text, message in (
+        ("4 12\n10 11 12\n1 2\n0\n", "edge (2,3) has color 0, not in 1..12"),
+        ("4 12\n10 11 12\n1 256\n3\n", "edge (1,3) has color 256, not in 1..12"),
+        ("4 12\n10 0 12\n1 2\n13\n", "edge (0,2) has color 0, not in 1..12"),
+        ("4 12\n10 0 12\n1 2\n256\n", "edge (0,2) has color 0, not in 1..12"),
+        ("4 300\n10 11 301\n1 2\n0\n", "edge (0,3) has color 301, not in 1..300"),
+        ("5 12\n10 11 12 1\n0 1 2\n1 2\n1 1\n", "line 5: row 3 must list 1 colors, got 2"),
+        ("5 12\n10 11 12 1\n300 1 2\n1 2\n1 1\n", "line 5: row 3 must list 1 colors, got 2"),
+        (f"3 12\n10 {long}\n1\n", "line 2: 5000-digit integer is too long"),
+        (f"4 12\n10 300 1\n1 {long}\n1\n", "line 3: 5000-digit integer is too long"),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_text(text)
+        assert str(exc.value) == message
+
+
 def test_integers_past_the_digit_limit_are_format_errors():
     # int() refuses strings of more than 4,300 digits with a ValueError;
     # leading zeros count

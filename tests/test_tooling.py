@@ -91,6 +91,87 @@ def test_library_leaves_process_global_state_alone():
     assert not found, found
 
 
+def import_time_unions(source: str):
+    # Union[...] and Optional[...] evaluated at import: outside a function
+    # body and, under `from __future__ import annotations`, outside an
+    # annotation
+    tree = ast.parse(source)
+    lazy = any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+        for node in tree.body
+    )
+    todo: list = [tree]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += node.args.defaults + node.args.kw_defaults
+            todo += getattr(node, "decorator_list", [])
+            if not lazy:
+                args = ast.walk(node.args)
+                todo += [arg.annotation for arg in args if isinstance(arg, ast.arg)]
+                todo.append(getattr(node, "returns", None))
+            continue
+        if lazy and isinstance(node, ast.AnnAssign):
+            todo += [node.target, node.value]
+            continue
+        if isinstance(node, ast.Subscript):
+            name = node.value
+            name = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", "")
+            if name in ("Union", "Optional"):
+                yield node.lineno, ast.unparse(node)
+        todo += ast.iter_child_nodes(node)
+
+
+def test_no_typing_union_is_evaluated_at_import():
+    # typing caches each Union[...] for the life of the process, and
+    # through its members' globals the module that built it: write X | Y
+    found = [
+        f"{path.name}:{lineno}: {expr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, expr in import_time_unions(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
+    body = (
+        "X = typing.Union[int, str]\n"
+        "class C:\n"
+        "    y: Optional[int] = None\n"
+        "    z = Optional[int]\n"
+        "def f(a: Optional[int] = Optional[int]) -> Union[int, str]:\n"
+        "    return Union[int, str]\n"
+    )
+    assert sorted(no for no, _ in import_time_unions(body)) == [1, 3, 4, 5, 5, 5]
+    lazy = "from __future__ import annotations\n" + body
+    assert sorted(no for no, _ in import_time_unions(lazy)) == [2, 5, 6]
+
+
+def test_reimporting_the_package_frees_the_old_copy():
+    # the benchmark re-imports the package to time set-up; nothing in
+    # another module's caches may keep the previous import alive
+    probe = (
+        "import gc, sys, weakref\n"
+        "import gallai, gallai.cli\n"
+        "from gallai import coloring, structure, trace\n"
+        "refs = [weakref.ref(coloring.EdgeColoring),\n"
+        "        weakref.ref(structure.GallaiPartition),\n"
+        "        weakref.ref(trace.BaseTrace)]\n"
+        "del gallai, coloring, structure, trace\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'gallai']:\n"
+        "    del sys.modules[name]\n"
+        "gc.collect()\n"
+        "import gallai, gallai.cli\n"
+        "print([ref() is None for ref in refs])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[True, True, True]"
+
+
 def module_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
