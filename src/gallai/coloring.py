@@ -373,10 +373,20 @@ def canonical_digest(c: EdgeColoring) -> str:
     differently.  Computed once per coloring and kept on it, which is
     safe because a coloring never changes.
     """
-    if c._digest is None:
+    if c._digest is not None:
+        return c._digest
+    if c.k <= 9:
         body = _color_text(c, " ")[:-1]  # all on one line, no trailing space
         body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n{body}"
         c._digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        return c._digest
+    # the same bytes, hashed one row at a time: no copy of the whole text
+    digest = hashlib.sha256(f"{_DIGEST_HEADER}\n{c.n} {c.k}\n".encode("ascii"))
+    sep = ""
+    for row in _wide_rows(c):
+        digest.update(f"{sep}{row}".encode("ascii"))
+        sep = " "
+    c._digest = digest.hexdigest()
     return c._digest
 
 
@@ -389,8 +399,8 @@ def _proved(c: EdgeColoring, prove: Callable[[EdgeColoring], tuple]) -> tuple:
 
 def _color_text(c: EdgeColoring, row_end: str) -> str:
     # the edge colours in row-major order, with a space after each edge of
-    # a row but its last and row_end after that: the digest's body and the
-    # .grc rows
+    # a row but its last and row_end after that: the .grc rows, and the
+    # digest's body when k <= 9
     n, colors = c.n, c._colors
     if c.k <= 9:
         # one digit per colour: the digits go at the even bytes of a
@@ -403,11 +413,14 @@ def _color_text(c: EdgeColoring, row_end: str) -> str:
             pos += 2 * width
             out[pos] = end
         return out.decode("ascii")
+    return "".join([row + row_end for row in _wide_rows(c)])
+
+
+def _wide_rows(c: EdgeColoring) -> Iterator[str]:
+    # each row of a coloring with k >= 10: its colours, joined by spaces
+    colors = c._colors
     text = {col: str(col) for col in set(colors)}  # each colour written once
-    rows = []
     start = 0
-    for width in range(n - 1, 0, -1):
-        row = colors[start : start + width]
-        rows.append(" ".join(map(text.__getitem__, row)) + row_end)
+    for width in range(c.n - 1, 0, -1):
+        yield " ".join(map(text.__getitem__, colors[start : start + width]))
         start += width
-    return "".join(rows)

@@ -17,23 +17,50 @@ Design notes, fixed for reproducibility:
   ``node_limit`` nodes still ends ``exhausted``.
 * Conflicts are detected incrementally: only structures through the
   newly colored edge are checked, by the kernels of :mod:`gallai.kernels`:
-  `rainbow_thirds` (as in `find_rainbow_triangle`) and, per forbidden
-  pattern, the check `through_check` picks there for its kind.  None of
-  them reads the edge's own bit, so the forward check probes the later
-  edges of the column while they are open.  Every probe goes through
-  `PartialColoring.conflict`.
-* The forward check keeps a color domain per edge (j, v) of the open
-  column: the bitmask of colors that complete no forbidden structure.
-  The loop opens column v on its first arrival at (0, v) going
-  forward, and only there: every color of every (j, v) is probed once.
-  After a move (u, v) = c only color c's rows have changed, so each
-  later (j, v) is probed in c alone, and only while c is in its domain;
-  the rainbow constraint sees one new triangle (j, u, v), which narrows
-  the domain of (j, v) to {c, color(u, j)} when those differ, with no
-  probe.  A move that empties a later domain is pruned.  A color
-  outside its own edge's domain is still a counted node and a prune,
-  decided without a probe, so the node and prune counts are those of
-  probing every color of every later edge after each move.
+  `rainbow_thirds` (as in `find_rainbow_triangle`) and, per color, one
+  callable over the checks `through_check` picks for the kinds of the
+  patterns forbidden there.  None of them reads the edge's own bit, so
+  the forward check probes the later edges of the column while they are
+  open.  Every probe that runs goes through `PartialColoring.conflict`.
+* The forward check keeps, per color c, a domain over the edges (j, v)
+  of the open column: the bitmask of the j for which (j, v) colored c
+  completes no forbidden structure.  The loop opens column v on its
+  first arrival at (0, v) going forward, and only there.  After a move
+  (u, v) = c only color c's rows have changed, so each later (j, v) is
+  probed in c alone, and only while c is in its domain; the rainbow
+  constraint sees one new triangle (j, u, v), which narrows the domain
+  of (j, v) to {c, color(u, j)} when those differ, with no probe.  A
+  move that leaves a later edge without a color is pruned, and the
+  probes stop at the first such edge.
+* Two rules skip probes whose answer is known to be False, each from a
+  property of the patterns forbidden in the probed color c.  A probe is
+  of (j, w) at the opening of column w, where w has no edge yet, or of
+  a later (j, v) after a move (u, v) = c while c is still in its
+  domain, so that it completed nothing before the move.  The rainbow
+  test cannot (newly) fire in either case: at the opening
+  ``assigned[w]`` is 0, and after the move the one new triangle
+  (j, u, v) has two edges in c.
+
+  - Rule A: let every pattern forbidden in c have minimum degree at
+    least d.  A copy through (j, w) gives w at least d edges in c, one
+    of them (j, w) itself, so a probe of (j, w) in c can fire only when
+    w has d - 1 neighbors in c.  At a column's opening w has none, so
+    only the colors with d = 1 are probed (p3, K2, explicit patterns
+    with a leaf); after a move into v, no color c is probed while v has
+    fewer than d - 1 neighbors in it (d = 3 for every wheel and K4).
+  - Rule B: let every pattern forbidden in c have each edge in a
+    triangle (K_t for t >= 3, every wheel).  After a move (u, v) = c,
+    a later (j, v) whose domain still holds c had no copy through it
+    before the move, so a new copy uses (u, v), and the copy's triangle
+    on (u, v) has a third vertex w.  Either w = j, and (u, j) is colored
+    c, or w is a common neighbor of u and v in c.  So when u and v have
+    no common neighbor in c, only the j adjacent to u in c are probed.
+
+  A color with no pattern forbidden in it has both properties.  A
+  skipped probe would have returned False, so the domains, and the node
+  and prune counts, are those of probing every color of every later
+  edge after each move.  A color outside its own edge's domain is still
+  a counted node and a prune, decided without a probe.
 * The walk is one loop over an explicit stack (colors tried, the
   ``colorSwap`` bound and the column's domains per position); it never
   recurses.  It writes each move straight into the `PartialColoring`'s
@@ -64,7 +91,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import count
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .coloring import EdgeColoring, edge_index
 from .detect import find_mono, find_rainbow_triangle
@@ -238,7 +265,17 @@ class PartialColoring:
     ``masks``, ``assigned`` and `conflict` are what others may read.
     """
 
-    __slots__ = ("n", "k", "colors", "masks", "assigned", "_rainbow", "_checks")
+    __slots__ = (
+        "n",
+        "k",
+        "colors",
+        "masks",
+        "assigned",
+        "_rainbow",
+        "_through",
+        "_need",
+        "_triangular",
+    )
 
     def __init__(self, task: SearchTask):
         self.n = task.n
@@ -247,12 +284,18 @@ class PartialColoring:
         self.masks = [[0] * task.n for _ in range(task.k + 1)]
         self.assigned = [0] * task.n
         self._rainbow = task.forbid_rainbow_triangle
-        # _checks[c]: the through-edge checks of the patterns forbidden in c
-        checks = [(scope, through_check(p)) for p, scope in task.forbidden]
-        self._checks = tuple(
-            tuple(chk for scope, chk in checks if scope in (None, c))
-            for c in range(task.k + 1)
-        )
+        # per color c: _through[c] checks every pattern forbidden in c; a
+        # probe of (j, w) in c can fire only when w has _need[c] neighbors
+        # in c (rule A), and bit c of _triangular is set when each of those
+        # patterns has each edge in a triangle (rule B).  With no pattern
+        # forbidden in c both hold, since no probe in c can fire
+        checks = [(scope, through_check(p), *_shape(p)) for p, scope in task.forbidden]
+        self._through, self._need, self._triangular = [], [], 0
+        for c in range(task.k + 1):
+            mine = [(chk, low, tri) for sc, chk, low, tri in checks if sc in (None, c)]
+            self._through.append(_any_check([chk for chk, _, _ in mine]))
+            self._need.append(min((low - 1 for _, low, _ in mine), default=task.n))
+            self._triangular |= all(tri for _, _, tri in mine) << c
 
     def conflict(self, u: int, v: int, color: int) -> bool:
         """Does the edge (u, v), colored ``color``, complete a forbidden
@@ -262,10 +305,33 @@ class PartialColoring:
             self.masks, adj, u, v, self.assigned[u] & self.assigned[v]
         ):
             return True
-        for chk in self._checks[color]:
-            if chk(adj, u, v):
+        return self._through[color](adj, u, v)
+
+
+def _shape(pattern: PatternSpec) -> tuple[int, bool]:
+    # the pattern's minimum degree, and whether each edge is in a triangle
+    nbrs = [0] * pattern.order
+    for a, b in pattern.edges:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return (
+        min(x.bit_count() for x in nbrs),
+        all(nbrs[a] & nbrs[b] for a, b in pattern.edges),
+    )
+
+
+def _any_check(checks: list) -> Callable[[list[int], int, int], bool]:
+    # one callable for a color's through-edge checks; none is never a copy
+    if len(checks) == 1:
+        return checks[0]
+
+    def chk(adj: list[int], u: int, v: int) -> bool:
+        for one in checks:
+            if one(adj, u, v):
                 return True
         return False
+
+    return chk
 
 
 def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
@@ -296,9 +362,14 @@ def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
     return True
 
 
-def _column_domains(conflict, palette: list[int], w: int) -> list[int]:
-    # the domain of each (j, w) before column w has an edge: every color probed
-    return [sum(1 << c for c in palette if not conflict(j, w, c)) for j in range(w)]
+def _column_domains(conflict, need: list[int], w: int) -> list[int]:
+    # each color's domain over the (j, w) before column w has an edge: w has
+    # no neighbor yet, so by rule A only a color with need 0 is probed
+    every = (1 << w) - 1
+    return [0] + [
+        every if need[c] else sum(1 << j for j in range(w) if not conflict(j, w, c))
+        for c in range(1, len(need))
+    ]
 
 
 def search_witness(task: SearchTask) -> SearchOutcome:
@@ -308,8 +379,8 @@ def search_witness(task: SearchTask) -> SearchOutcome:
     exhaustion, or ``limit_reached`` once ``node_limit`` assignment
     attempts are spent.  Single-threaded and deterministic.
 
-    The forward check keeps the colors each edge of the open column can
-    still take, as one bitmask per edge; a color outside its edge's
+    The forward check keeps the edges of the open column that can still
+    take each color, as one bitmask per color; a color outside its edge's
     domain is still a counted node and a prune, decided without a
     kernel call.
     """
@@ -334,11 +405,11 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             color_orders = [rng.sample(base_order, k) for _ in range(m)]
         stop_at = min(limit, nodes + (_RESTART_BASE << restart))
         pc = PartialColoring(task)
-        conflict = pc.conflict
+        conflict, need, triangular = pc.conflict, pc._need, pc._triangular
         edge_colors, masks, assigned = pc.colors, pc.masks, pc.assigned
         tried = [0] * m  # colors of color_orders[pos] tried at pos
         max_used = [0] * (m + 1)  # largest color on the edges before pos
-        # domains[pos][j]: bit c set iff (j, v) colored c completes no
+        # domains[pos][c]: bit j set iff (j, v) colored c completes no
         # forbidden structure, given the edges before pos; (u, v) = order[pos]
         domains: list[list[int]] = [[]] * m
         pos = 0
@@ -356,7 +427,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                 assigned[v] ^= bu
             i = tried[pos]
             if i == 0 and u == 0:  # first arrival at (0, v): open column v
-                domains[pos] = _column_domains(conflict, base_order, v)
+                domains[pos] = _column_domains(conflict, need, v)
             colors = color_orders[pos]
             top = min(k, max_used[pos] + 1) if colorswap else k
             while i < k and colors[i] > top:
@@ -371,7 +442,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             tried[pos] = i + 1
             nodes += 1
             dom = domains[pos]
-            if not dom[u] >> c & 1:
+            if not dom[c] >> u & 1:
                 prunes_conflict += 1
                 continue
             row = masks[c]
@@ -383,23 +454,33 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             if u + 1 < v:
                 # forward check: every later edge into v must keep an
                 # option.  Only color c's rows changed, so the patterns
-                # need probing in c alone; the new triangle (j, u, v)
-                # narrows (j, v) to {c, color(u, j)} for rainbow
+                # need probing in c alone, and by rules A and B only at
+                # the j of fire; the new triangle (j, u, v) narrows (j, v)
+                # to {c, color(u, j)} for rainbow
                 nxt = dom[:]
-                bc = 1 << c
-                base = e - v  # edge_colors[base + j] is (u, j)
-                for j in range(u + 1, v):
-                    d = nxt[j]
-                    if rainbow:
-                        x = edge_colors[base + j]
-                        if x != c:
-                            d &= bc | 1 << x
-                    if d & bc and conflict(j, v, c):
-                        d ^= bc
-                    if not d:
-                        break
-                    nxt[j] = d
-                if not d:  # pruned; the move is taken back on return
+                later = bv - (bu << 1)  # u < j < v: the later edges (j, v)
+                free = 0  # the later j with a color other than c left
+                for y in base_order:
+                    if y != c:
+                        if rainbow:
+                            nxt[y] &= masks[y][u] | row[u] | ~later
+                        free |= nxt[y]
+                empty = later & ~(free | nxt[c])
+                fire = -1  # the j where a probe in c can fire
+                if row[v].bit_count() < need[c]:  # rule A
+                    fire = 0
+                elif triangular >> c & 1 and not row[u] & row[v]:  # rule B
+                    fire = row[u]
+                todo = fire & nxt[c] & later & ((empty & -empty) - 1)
+                while todo:  # up to the first j left without a color
+                    b = todo & -todo
+                    todo ^= b
+                    if conflict(b.bit_length() - 1, v, c):
+                        nxt[c] ^= b
+                        if not free & b:
+                            empty = b
+                            break
+                if empty:  # pruned; the move is taken back on return
                     prunes_lookahead += 1
                     continue
                 domains[pos + 1] = nxt

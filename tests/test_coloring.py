@@ -28,6 +28,7 @@ from gallai import (
     validate_trace,
 )
 from gallai.coloring import _color_text, _dense_rows, _edge_rows
+from gallai.formats import parse_text, render_text
 
 # pinned once from the documented digest preimage; guards format drift
 PENTAGON_DIGEST = "52557dc8cdf3a20c40c582fdc5caa4e1f6b8f6b55831ac20cfd23ff4d45cd93b"
@@ -462,6 +463,41 @@ def test_digest_pinned_and_label_sensitive(pentagon):
     # k is part of the identity
     wide = EdgeColoring(5, 3, pentagon.edge_colors)
     assert canonical_digest(wide) != PENTAGON_DIGEST
+
+
+def digest_preimage(c):
+    # the documented preimage, written out from the public edge list
+    body = " ".join(map(str, c.edge_colors))
+    return hashlib.sha256(f"grc1\n{c.n} {c.k}\n{body}".encode("ascii")).hexdigest()
+
+
+def test_wide_digest_hashes_the_same_bytes_row_by_row():
+    # k >= 10 hashes one row at a time; the bytes are those of the one-line
+    # preimage, and at most a few rows of text are held at once
+    rng = random.Random(53)
+    for n, k in ((1, 10), (2, 10), (40, 10), (33, 12), (25, 300), (12, 9), (30, 2)):
+        c = EdgeColoring(n, k, [rng.randint(1, k) for _ in range(n * (n - 1) // 2)])
+        assert canonical_digest(c) == digest_preimage(c), (n, k)
+    c = EdgeColoring(400, 12, [rng.randint(1, 12) for _ in range(400 * 399 // 2)])
+    text = len(_color_text(c, " "))
+    tracemalloc.start()
+    try:
+        canonical_digest(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < text / 8, (peak, text)
+
+
+def test_k10_tower_reads_back_to_its_digest():
+    # a k = 10 witness tower over a 3-vertex base (n = 1,875): its .grc
+    # text carries the digest, which the reader checks on the way in
+    base = EdgeColoring(3, 2, (1, 1, 2))
+    tower, _ = build_lower_bound_witness(10, base)
+    doc = ColoringDocument.sealed(tower)
+    assert doc.digest == digest_preimage(tower)
+    back = parse_text(render_text(doc))
+    assert back == doc and canonical_digest(back.coloring) == doc.digest
 
 
 @given(colorings())

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -34,9 +34,22 @@ PATTERN_MENU = [
     ((PatternSpec.wheel(3), None),),
     ((TRIANGLE_WITH_TAIL, None),),
 ]
-# SHA-256 of test_search_counts_match_pinned_digest's rows
-PINNED_SEARCH_DIGEST = (
+# a triangle 0-1-2 with the edge 2-3 hanging off it: minimum degree 1,
+# and the edge 2-3 in no triangle, so neither skip rule holds for it
+TRIANGLE_WITH_PENDANT = PatternSpec.explicit(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
+# SHA-256 of the search trees of _pinned_matrix's tasks: status, node
+# count, prunes by cause, restart count and witness digest of each
+PINNED_TREE_DIGEST = (
+    "67b9aaec27e1f099d4c9863e9ee8d5e79ba077f12464b95ecef4f675b38b7c69"
+)
+# SHA-256 of the same rows with each task's PartialColoring.conflict
+# probes appended, when every probe runs (the engine before the skip rules)
+PINNED_PROBE_ALL_DIGEST = (
     "da2742e4ca8f2f16868ebeab3c1c0a64f9a9903a8d5972bcc6ca6b4b4ce8f939"
+)
+# SHA-256 of the probe count of each task under the skip rules
+PINNED_PROBES_DIGEST = (
+    "6d138b0fe3c312c1e70dde95353460c51d76abbfeac24ba550de440bc1076dbc"
 )
 
 
@@ -403,7 +416,7 @@ def test_every_probe_is_a_partial_coloring_conflict_call(monkeypatch, base14):
     monkeypatch.setattr(PartialColoring, "conflict", counted)
     out = search_witness(SearchTask(n=14, k=2, forbidden=((W4, None),), seed=0))
     assert out.witness == base14
-    assert (out.stats.nodes, calls) == (5147, 21415)
+    assert (out.stats.nodes, calls) == (5147, 11620)
 
 
 def test_incremental_rainbow_vs_rescan():
@@ -500,30 +513,257 @@ def _pinned_matrix():
         )
 
 
-def test_search_counts_match_pinned_digest(monkeypatch):
-    # status, node/prune/restart counts, witness digest and number of
-    # PartialColoring.conflict probes of each task, at the default restart
-    # budget and at one small enough to restart most tasks many times
-    calls = 0
+def _count_probes(monkeypatch):
+    # wrap PartialColoring.conflict on the class, as the benchmark does;
+    # returns the list whose one item counts the calls
+    calls = [0]
     conflict = PartialColoring.conflict
 
     def counted(self, u, v, color):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return conflict(self, u, v, color)
 
     monkeypatch.setattr(PartialColoring, "conflict", counted)
-    rows = []
-    for restart_base in (search_module._RESTART_BASE, 50):
+    return calls
+
+
+def _probe_everything(monkeypatch):
+    # the engine with neither rule: no color may skip a probe
+    init = PartialColoring.__init__
+
+    def probing_all(self, task):
+        init(self, task)
+        self._need = [0] * len(self._need)
+        self._triangular = 0
+
+    monkeypatch.setattr(PartialColoring, "__init__", probing_all)
+
+
+def _tree_rows(monkeypatch, tasks):
+    # [status, nodes, prunes by cause, restarts, witness digest] and the
+    # probe count of each task
+    calls = _count_probes(monkeypatch)
+    rows, probes = [], []
+    for task in tasks:
+        calls[0] = 0
+        out = search_witness(task)
+        s = out.stats
+        witness = out.witness and canonical_digest(out.witness)
+        causes = [s.prunes_conflict, s.prunes_lookahead, s.prunes_canonical]
+        rows.append([out.status, s.nodes, causes, s.restarts, witness])
+        probes.append(calls[0])
+    return rows, probes
+
+
+RESTART_BASES = (search_module._RESTART_BASE, 50)
+
+
+def _pinned_rows(monkeypatch):
+    # each task of _pinned_matrix at the default restart budget and at one
+    # small enough to restart most tasks many times
+    rows, probes = [], []
+    for restart_base in RESTART_BASES:
         monkeypatch.setattr(search_module, "_RESTART_BASE", restart_base)
-        for task in _pinned_matrix():
-            calls = 0
-            out = search_witness(task)
-            s = out.stats
-            witness = out.witness and canonical_digest(out.witness)
-            rows.append([out.status, s.nodes, s.prunes, s.restarts, witness, calls])
-    statuses = {row[0] for row in rows}
-    assert statuses == {"witness", "exhausted", "limit_reached"}
+        more_rows, more_probes = _tree_rows(monkeypatch, _pinned_matrix())
+        rows += more_rows
+        probes += more_probes
+    return rows, probes
+
+
+def _sha256(rows) -> str:
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_search_counts_match_pinned_digest(monkeypatch):
+    # status, node count, prunes by cause, restart count and witness
+    # digest of each task; the digest is the one the engine gave before the
+    # skip rules, so skipping probes has left every search tree as it was
+    rows, _ = _pinned_rows(monkeypatch)
+    assert {row[0] for row in rows} == {"witness", "exhausted", "limit_reached"}
     assert sum(row[3] for row in rows) > 100
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == PINNED_SEARCH_DIGEST
+    assert _sha256(rows) == PINNED_TREE_DIGEST
+
+
+def test_search_probe_counts_match_pinned_digest(monkeypatch):
+    # the probes of each task are pinned, and no task probes more than
+    # with every probe run, which reproduces the pinned rows of the
+    # engine before the skip rules, probe counts included
+    rows, probes = _pinned_rows(monkeypatch)
+    assert _sha256(probes) == PINNED_PROBES_DIGEST
+    _probe_everything(monkeypatch)
+    all_rows, all_probes = _pinned_rows(monkeypatch)
+    assert all_rows == rows
+    old = [
+        [status, nodes, sum(causes), restarts, witness, calls]
+        for (status, nodes, causes, restarts, witness), calls in zip(
+            all_rows, all_probes
+        )
+    ]
+    assert _sha256(old) == PINNED_PROBE_ALL_DIGEST
+    assert all(new <= before for new, before in zip(probes, all_probes))
+    assert sum(probes) < sum(all_probes) // 2
+
+
+# the patterns of the skip-rule tests: each kind, K2, W5 (a generic
+# through-edge check) and both explicit shapes
+RULE_PATTERNS = [
+    P3,
+    PatternSpec.clique(2),
+    C4,
+    K3,
+    PatternSpec.clique(4),
+    PatternSpec.wheel(3),
+    W4,
+    PatternSpec.wheel(5),
+    TRIANGLE_WITH_TAIL,
+    TRIANGLE_WITH_PENDANT,
+]
+
+
+def test_pattern_shapes():
+    # (minimum degree, every edge in a triangle), read from the edges
+    assert [search_module._shape(p) for p in RULE_PATTERNS] == [
+        (1, False),
+        (1, False),
+        (2, False),
+        (2, True),
+        (3, True),
+        (3, True),
+        (3, True),
+        (3, True),
+        (1, False),
+        (1, False),
+    ]
+
+
+def _random_forbidden(rng, k, scoped):
+    # one to three (pattern, color) pairs, for the menu tasks and more
+    picks = rng.sample(RULE_PATTERNS, rng.randint(1, 3))
+    if not scoped:
+        return tuple((p, None) for p in picks)
+    return tuple((p, rng.choice([None, *range(1, k + 1)])) for p in picks)
+
+
+def _rule_task(rng, trial):
+    # a task of the skip-rule tests: on odd trials a menu entry or the
+    # pendant pattern alone, on even ones random color-scoped patterns
+    n, k = rng.randint(4, 8), rng.randint(1, 3)
+    menu = PATTERN_MENU + [((TRIANGLE_WITH_PENDANT, None),)]
+    if trial % 2:
+        forbidden = menu[trial % len(menu)]
+    else:
+        forbidden = _random_forbidden(rng, k, scoped=True)
+    return SearchTask(
+        n=n,
+        k=k,
+        forbidden=forbidden,
+        forbid_rainbow_triangle=trial % 3 == 0,
+        symmetry="none",
+    )
+
+
+def test_rule_a_skips_only_probes_that_cannot_fire():
+    # an edge (j, w) whose end w has fewer than need[c] neighbors in c
+    # completes no pattern in c, and with w free of edges no rainbow
+    # triangle either; the pendant pattern shows the minimum degree
+    # matters
+    rng = random.Random(31)
+    skipped = fired = pendant_fires = 0
+    for trial in range(400):
+        task = _rule_task(rng, trial)
+        n, k = task.n, task.k
+        fresh = rng.randrange(n)  # a vertex with no edge, as at a column opening
+        partial = oracles.PartialAssignment(n)
+        for u, v in combinations(range(n), 2):
+            if fresh not in (u, v) and rng.random() < 0.7:
+                partial[u, v] = rng.randint(1, k)
+        pc = oracles.fill(PartialColoring(task), partial)
+        pendant = task.forbidden == ((TRIANGLE_WITH_PENDANT, None),)
+        for w in range(n):
+            for j in range(n):
+                if j == w or (min(j, w), max(j, w)) in partial:
+                    continue
+                for c in range(1, k + 1):
+                    fires = pc.conflict(j, w, c)
+                    if w != fresh and task.forbid_rainbow_triangle:
+                        continue  # rule A's rainbow part needs w free
+                    if pc.masks[c][w].bit_count() < pc._need[c]:
+                        assert not fires, (task, partial, j, w, c)
+                        skipped += 1
+                    else:
+                        fired += fires
+                        pendant_fires += fires and w == fresh and pendant
+    assert skipped > 3000 and fired > 1000 and pendant_fires > 10
+
+
+def test_rule_b_skips_only_probes_that_cannot_fire():
+    # after a move (u, v) = c in a color whose patterns have each edge in
+    # a triangle, with no common neighbor of u and v in c, an open (j, v)
+    # that completed nothing in c before the move still does, unless
+    # (u, j) is colored c; the pendant pattern shows the triangles matter
+    rng = random.Random(32)
+    skipped = fired = pendant_fires = 0
+    for trial in range(400):
+        task = _rule_task(rng, trial)
+        n, k = task.n, task.k
+        edges = list(combinations(range(n), 2))
+        partial = oracles.PartialAssignment(n)
+        density = rng.choice((0.3, 0.5, 0.7))
+        for edge in edges:
+            if rng.random() < density:
+                partial[edge] = rng.randint(1, k)
+        before = oracles.fill(PartialColoring(task), partial)
+        pendant = task.forbidden == ((TRIANGLE_WITH_PENDANT, None),)
+        for edge in [e for e in edges if e not in partial]:
+            for (u, v), c in product((edge, edge[::-1]), range(1, k + 1)):
+                candidates = [
+                    j
+                    for j in range(n)
+                    if j not in (u, v)
+                    and (min(j, v), max(j, v)) not in partial
+                    and not before.conflict(j, v, c)
+                ]
+                partial[edge] = c
+                after = oracles.fill(PartialColoring(task), partial)
+                del partial[edge]
+                row = after.masks[c]
+                rule_b = after._triangular >> c & 1 and not row[u] & row[v]
+                for j in candidates:
+                    fires = after.conflict(j, v, c)
+                    if rule_b and not row[u] >> j & 1:
+                        assert not fires, (task, partial, u, v, j, c)
+                        skipped += 1
+                    else:
+                        fired += fires
+                        pendant_fires += fires and pendant and not row[u] >> j & 1
+    assert skipped > 5000 and fired > 1000 and pendant_fires > 10
+
+
+def test_skip_rules_leave_the_search_tree_unchanged(monkeypatch):
+    # with the per-pattern helper saying "no property" every pattern probe
+    # runs; the pinned matrix and random tasks must give the same trees,
+    # with at least as many probes
+    rng = random.Random(2718)
+    tasks = list(_pinned_matrix())
+    for _ in range(240):
+        k = rng.randint(1, 3)
+        symmetry = rng.choice(["none", "colorSwap", "vertexOrder"])
+        tasks.append(
+            SearchTask(
+                n=rng.randint(3, 9),
+                k=k,
+                forbidden=_random_forbidden(rng, k, scoped=symmetry == "none"),
+                forbid_rainbow_triangle=rng.random() < 0.5,
+                symmetry=symmetry,
+                node_limit=3000,
+                seed=rng.randrange(4),
+            )
+        )
+    monkeypatch.setattr(search_module, "_RESTART_BASE", 200)
+    rows, probes = _tree_rows(monkeypatch, tasks)
+    monkeypatch.setattr(search_module, "_shape", lambda pattern: (1, False))
+    all_rows, all_probes = _tree_rows(monkeypatch, tasks)
+    assert all_rows == rows
+    assert all(new <= before for new, before in zip(probes, all_probes))
+    assert sum(probes) < sum(all_probes)
+    assert {row[0] for row in rows[-240:]} == {"witness", "exhausted", "limit_reached"}

@@ -360,6 +360,36 @@ def test_only_search_writes_partial_coloring_state():
     assert not found, found
 
 
+def test_search_kernels_run_only_inside_conflict():
+    # the benchmark and the tests count probes by wrapping
+    # PartialColoring.conflict on the class; a kernel run from anywhere
+    # else in search.py would be a probe that no counter sees.  The
+    # per-color checks are built in __init__ and read only by conflict
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    [cls] = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "PartialColoring"
+    ]
+    methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+
+    def uses(node, name):
+        return {
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == name
+            or isinstance(sub, ast.Attribute) and sub.attr == name
+        }
+
+    rainbow = uses(methods["conflict"], "rainbow_thirds")
+    assert rainbow and uses(tree, "rainbow_thirds") == rainbow
+    checks = uses(methods["conflict"], "_through")
+    built = uses(methods["__init__"], "_through")
+    assert checks and built and uses(tree, "_through") == checks | built
+    kernels = uses(methods["__init__"], "through_check")
+    assert kernels and uses(tree, "through_check") == kernels
+
+
 def test_only_patterns_and_kernels_read_pattern_kind():
     # patterns.py says what a kind is, kernels.py which kernel finds it;
     # a branch on the kind anywhere else is a second, parallel choice
