@@ -20,6 +20,7 @@ from .construct import build_lower_bound_witness, load_base14, random_gallai
 from .detect import find_mono, find_rainbow_triangle
 from .formats import (
     ColoringDocument,
+    _json_text,
     read_document,
     render_json,
     render_text,
@@ -84,21 +85,17 @@ def parse_pattern(token: str) -> PatternSpec:
     raise ValueError(f"unknown pattern {token!r}")
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(doc: ColoringDocument, out: Optional[str], fmt: Optional[str]) -> None:
     if out:
         write_document(out, doc, fmt)
     elif (fmt or "grc") == "json":
-        sys.stdout.write(_json(render_json(doc)))
+        sys.stdout.write(_json_text(render_json(doc)))
     else:
         sys.stdout.write(render_text(doc))
 
 
 def _print_json(obj) -> None:
-    sys.stdout.write(_json(obj))
+    sys.stdout.write(_json_text(obj))
 
 
 def cmd_construct(args) -> int:
@@ -166,7 +163,7 @@ def cmd_verify(args) -> int:
 def cmd_partition(args) -> int:
     doc = read_document(args.input, args.format)
     part = find_gallai_partition(doc.coloring)
-    payload = _json(part.to_json())
+    payload = _json_text(part.to_json())
     if args.out:
         Path(args.out).write_text(payload, encoding="ascii")
     else:

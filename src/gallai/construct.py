@@ -137,21 +137,23 @@ def random_gallai(n: int, k: int, seed: int) -> EdgeColoring:
         raise ValueError(f"need at least one vertex, got n={n}")
     if exact_int(k, "k") < 1:
         raise ValueError(f"palette must have at least one color, got k={k}")
-    rng = random.Random(seed)
+    return _random_block(random.Random(seed), k, n)
 
-    def gen(size: int) -> EdgeColoring:
-        if size == 1:
-            return EdgeColoring(1, k, ())
-        p = rng.randint(2, min(5, size))
-        c1 = rng.randint(1, k)
-        c2 = rng.randint(1, k)
-        qcolors = [rng.choice((c1, c2)) for _ in range(p * (p - 1) // 2)]
-        quotient = EdgeColoring(p, k, qcolors)
-        small, extra = divmod(size, p)
-        sizes = [small + 1] * extra + [small] * (p - extra)
-        return substitute(quotient, [gen(s) for s in sizes])
 
-    return gen(n)
+def _random_block(rng: random.Random, k: int, size: int) -> EdgeColoring:
+    # one block of random_gallai, its quotient drawn before its blocks.  A
+    # module function, not a closure over rng: a recursive closure refers
+    # to itself, and the cycle would keep rng until the cyclic collector ran
+    if size == 1:
+        return EdgeColoring(1, k, ())
+    p = rng.randint(2, min(5, size))
+    c1 = rng.randint(1, k)
+    c2 = rng.randint(1, k)
+    qcolors = [rng.choice((c1, c2)) for _ in range(p * (p - 1) // 2)]
+    quotient = EdgeColoring(p, k, qcolors)
+    small, extra = divmod(size, p)
+    sizes = [small + 1] * extra + [small] * (p - extra)
+    return substitute(quotient, [_random_block(rng, k, s) for s in sizes])
 
 
 def load_base14() -> EdgeColoring:

@@ -13,7 +13,12 @@ Text format (extension ``.grc``)::
 
 The ``digest:`` and ``provenance:`` comments are structured: they are
 parsed back, so documents round-trip losslessly.  The JSON mirror
-carries the same payload as explicit ``[u, v, color]`` triples.
+carries the same payload with the rows as strings, ``"rows": [...]``,
+where ``rows[u]`` is the text row for vertex u without its newline, read
+by the same row reader.  A JSON document that lists the colours as
+``"edges": [[u, v, color], ...]``, as JSON documents were once written,
+still reads; a partition's reduced graph and a trace's quotients are
+written that way.
 
 Any malformed input raises :class:`FormatError`.
 """
@@ -142,23 +147,23 @@ def render_text(doc: ColoringDocument) -> str:
     return "".join(parts)
 
 
-def _digit_tokens(line: str, lineno: int) -> tuple[list[str], str]:
+def _digit_tokens(line: str, where: str) -> tuple[list[str], str]:
     # ASCII digits separated by spaces and tabs: int() alone also takes a
     # sign, "_" and the digits of other scripts, and str.split() also
     # splits on the other Unicode spaces, which the count below catches.
-    # One test per line keeps parsing cheap
+    # One test per line keeps parsing cheap.  A JSON row may be empty
     tokens = line.split()
     joined = "".join(tokens)
-    if not (joined.isascii() and joined.isdigit()):
+    if joined and not (joined.isascii() and joined.isdigit()):
         bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
-        raise FormatError(f"line {lineno}: {bad!r} is not an integer")
+        raise FormatError(f"{where}: {bad!r} is not an integer")
     if len(line) - len(joined) != line.count(" ") + line.count("\t"):
-        raise FormatError(f"line {lineno}: tokens must be separated by spaces or tabs")
+        raise FormatError(f"{where}: tokens must be separated by spaces or tabs")
     return tokens, joined
 
 
-def _ints(tokens: list[str], lineno: int) -> list[int]:
-    # the values of the digit tokens read from one line, one int() per
+def _ints(tokens: list[str], where: str) -> list[int]:
+    # the values of the digit tokens read from one row, one int() per
     # distinct token; int() raises ValueError past the interpreter's limit
     # on digits (4,300 by default, leading zeros included), so the longest
     # token is one it refused
@@ -167,7 +172,7 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         value = {t: int(t) for t in distinct}
     except ValueError as exc:
         bad = max(distinct, key=len)
-        raise FormatError(f"line {lineno}: {len(bad)}-digit integer is too long") from exc
+        raise FormatError(f"{where}: {len(bad)}-digit integer is too long") from exc
     return list(map(value.__getitem__, tokens))
 
 
@@ -207,63 +212,83 @@ def parse_text(text: str) -> ColoringDocument:
     if not data_lines:
         raise FormatError("no header line")
     head_no, head = data_lines[0]
-    dims, _ = _digit_tokens(head, head_no)
+    at = f"line {head_no}"
+    dims, _ = _digit_tokens(head, at)
     if len(dims) != 2:
-        raise FormatError(f"line {head_no}: header must be 'n k'")
-    n, k = _ints(dims, head_no)
+        raise FormatError(f"{at}: header must be 'n k'")
+    n, k = _ints(dims, at)
     if n < 1 or k < 1:
-        raise FormatError(f"line {head_no}: need n >= 1 and k >= 1, got {n} {k}")
+        raise FormatError(f"{at}: need n >= 1 and k >= 1, got {n} {k}")
     rows = data_lines[1:]
+    colors = _read_rows([line for _, line in rows], n, k, [no for no, _ in rows])
+    del lines, data_lines, rows  # free the text's rows before the digest check
+    return _loaded(_colored(n, k, colors), digest, provenance, FORMAT_VERSION, walk)
+
+
+def _read_rows(
+    rows: list[str], n: int, k: int, linenos: Optional[list[int]] = None
+) -> Union[bytes, list[int]]:
+    # the colour store of the n - 1 rows of a .grc file or a JSON document,
+    # each stripped of its surrounding blanks.  A .grc row is named in
+    # messages by its line number, a JSON row (no linenos) by its index
     if len(rows) != n - 1:
         raise FormatError(f"expected {n - 1} rows of colors, found {len(rows)}")
+
+    def where(u: int) -> str:
+        return f"row {u}" if linenos is None else f"line {linenos[u]}"
+
     # each row's digits, joined, while every token is one digit
     pieces: Optional[list[str]] = []
-    for u, (lineno, line) in enumerate(rows):
+    for u, line in enumerate(rows):
         # one digit, one space, ...: the row render_text writes for k <= 9,
         # whose digits are its even characters.  Any other row is split
         digits, seps = line[::2], line[1::2]
         if seps.count(" ") == len(seps) and digits.isascii() and digits.isdigit():
             count = len(digits)
         else:
-            tokens, digits = _digit_tokens(line, lineno)
+            tokens, digits = _digit_tokens(line, where(u))
             count = len(tokens)
             if len(digits) != count:
                 pieces = None  # a multi-digit token: the rows are read below
         if count != n - 1 - u:
-            raise FormatError(
-                f"line {lineno}: row {u} must list {n - 1 - u} colors, got {count}"
-            )
+            head = "" if linenos is None else f"{where(u)}: "
+            raise FormatError(f"{head}row {u} must list {n - 1 - u} colors, got {count}")
         if pieces is not None:
             pieces.append(digits)
     if pieces is not None:
         # each token is one digit, as render_text writes for k <= 9, and
         # the colours are those digits as bytes
-        colors = "".join(pieces).encode("ascii").translate(_DIGIT_VALUES)
-    else:
-        # a row at a time into the store EdgeColoring keeps, bytes for
-        # k < 256.  A colour past 255 is past k there: the rest goes to a
-        # list, and the constructor names the first bad edge
-        store: Union[bytearray, list[int]] = bytearray() if k < 256 else []
-        for lineno, line in rows:
-            values = _ints(line.split(), lineno)
-            try:
-                store.extend(values)
-            except ValueError:
-                store = [*store, *values]
-        colors = bytes(store) if type(store) is bytearray else store
-    del lines, data_lines, rows, pieces  # free the text's rows before the digest check
+        return "".join(pieces).encode("ascii").translate(_DIGIT_VALUES)
+    # a row at a time into the store EdgeColoring keeps, bytes for
+    # k < 256.  A colour past 255 is past k there: the rest goes to a
+    # list, and the constructor names the first bad edge
+    store: Union[bytearray, list[int]] = bytearray() if k < 256 else []
+    for u, line in enumerate(rows):
+        values = _ints(line.split(), where(u))
+        try:
+            store.extend(values)
+        except ValueError:
+            store = [*store, *values]
+    return bytes(store) if type(store) is bytearray else store
+
+
+def _colored(n: int, k: int, colors: Any) -> EdgeColoring:
+    # a bad colour is named by EdgeColoring's ValueError
     try:
-        coloring = EdgeColoring(n, k, colors)
+        return EdgeColoring(n, k, colors)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return _loaded(coloring, digest, provenance, FORMAT_VERSION, walk)
 
 
 def render_json(doc: ColoringDocument) -> dict[str, Any]:
+    c = doc.coloring
     return {
         "format": "gallai-coloring",
         "version": doc.version,
-        **_write_payload(doc.coloring),
+        "n": c.n,
+        "k": c.k,
+        # row u is the .grc row u without its newline
+        "rows": _color_text(c, "\n").split("\n")[:-1],
         "digest": doc.digest,
         "provenance": doc.provenance,
     }
@@ -280,26 +305,55 @@ def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
         raise FormatError("top-level JSON value must be an object")
     if data.get("format") != "gallai-coloring":
         raise FormatError("missing or wrong 'format' tag")
-    coloring = _read_payload(data)
+    # the colours are the .grc rows, or an edge list as written before
+    if ("rows" in data) == ("edges" in data):
+        raise FormatError("need exactly one of 'rows' and 'edges'")
+    if "edges" in data:
+        coloring = _read_payload(data)
+    else:
+        n, k = _dims(data)
+        coloring = _colored(n, k, _read_rows(_json_rows(data["rows"]), n, k))
     provenance, version = data.get("provenance"), data.get("version")
     return _loaded(coloring, data.get("digest"), provenance, version, walk)
 
 
+def _json_rows(rows: Any) -> list[str]:
+    # a JSON document's rows, stripped of their blanks as .grc rows are.
+    # The row reader passes only digits, spaces and tabs, so a line break
+    # or a '#', which a .grc file would read as a comment, is refused
+    if not isinstance(rows, list):
+        raise FormatError("'rows' must be a list of strings")
+    try:
+        return [str.strip(row, _BLANKS) for row in rows]
+    except TypeError:
+        u = next(u for u, row in enumerate(rows) if not isinstance(row, str))
+        raise FormatError(f"row {u}: {rows[u]!r} is not a string") from None
+
+
 def _write_payload(c: EdgeColoring) -> dict[str, Any]:
-    # the {"n", "k", "edges"} payload, also nested in traces and partitions
+    # the {"n", "k", "edges"} payload nested in traces and partitions
     return {"n": c.n, "k": c.k, "edges": [[u, v, col] for u, v, col in c.edges()]}
 
 
-def _read_payload(data: dict[str, Any]) -> EdgeColoring:
+def _dims(data: dict[str, Any]) -> tuple[int, int]:
+    # a payload's n and k, exact ints: json gives floats, bools and
+    # strings their own types
     try:
-        n, k, edges = data["n"], data["k"], data["edges"]
+        n, k = data["n"], data["k"]
     except KeyError as exc:
         raise FormatError(f"malformed payload: missing {exc}") from exc
-    # exact ints only: json gives floats, bools and strings their own types
     if type(n) is not int or type(k) is not int:
         raise FormatError(f"'n' and 'k' must be integers, got {n!r} {k!r}")
     if n < 1 or k < 1:
         raise FormatError(f"need n >= 1 and k >= 1, got {n} {k}")
+    return n, k
+
+
+def _read_payload(data: dict[str, Any]) -> EdgeColoring:
+    # an {"n", "k", "edges"} payload: a trace's quotient, or the colours of
+    # a JSON document written before documents carried rows
+    n, k = _dims(data)
+    edges = data.get("edges")
     if not isinstance(edges, list):
         raise FormatError("'edges' must be a list")
     # check the count before allocating anything sized by the header
@@ -321,10 +375,12 @@ def _read_payload(data: dict[str, Any]) -> EdgeColoring:
         if colors[idx] is not None:
             raise FormatError(f"edge ({u},{v}) listed twice")
         colors[idx] = col
-    try:
-        return EdgeColoring(n, k, colors)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _colored(n, k, colors)
+
+
+def _json_text(obj: Any) -> str:
+    # how every JSON file and JSON report of the package is written
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _pick_format(path: Union[str, Path], fmt: Optional[str]) -> str:
@@ -349,7 +405,7 @@ def write_document(
     path: Union[str, Path], doc: ColoringDocument, fmt: Optional[str] = None
 ) -> None:
     if _pick_format(path, fmt) == "json":
-        payload = json.dumps(render_json(doc), indent=2, sort_keys=True) + "\n"
+        payload = _json_text(render_json(doc))
     else:
         payload = render_text(doc)
     with open(path, "w", encoding="ascii", newline="\n") as fh:

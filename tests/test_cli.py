@@ -354,6 +354,26 @@ def test_convert_round_trip_preserves_bytes(tmp_path, capsys):
     assert read_document(b).digest == read_document(a).digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--n", "25", "--k", "12", "--seed", "3"],
+        ["convert", "--in", "{grc}"],
+    ],
+)
+def test_json_to_stdout_is_the_file_bytes(tmp_path, capsys, argv):
+    # one writer for JSON documents, whether printed or written to a file
+    grc = save(tmp_path, "w.grc", join(mono_k6(), mono_k6(), 3), provenance={"a": [1]})
+    argv = [arg.format(grc=grc) for arg in argv]
+    path = tmp_path / "f.json"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
+    assert code == 0
+    assert path.read_text(encoding="ascii") == out
+    assert json.loads(out)["rows"]
+
+
 def test_digest_command(tmp_path, capsys):
     path = save(tmp_path, "k6.grc", mono_k6())
     code, out, _ = run(capsys, "digest", "--in", path)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import oracles
@@ -159,6 +161,22 @@ def test_random_gallai_determinism():
     assert a == b
     c = random_gallai(30, 4, 8)
     assert a != c  # overwhelmingly likely; pinned seeds keep it stable
+
+
+def test_random_gallai_leaves_no_garbage():
+    # its recursion was a closure that referred to itself, so each call
+    # left a cycle holding the Random (about 2.5 KB of state) until the
+    # cyclic collector ran.  The draws are unchanged
+    gc.collect()
+    gc.disable()
+    try:
+        c = random_gallai(40, 5, 7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert canonical_digest(c) == (
+        "a43a89612426f0884e244f2a64e6dfc17e5bf912f48bf06fd23a9b9c8f3ef868"
+    )
 
 
 def test_random_gallai_trivial_cases():

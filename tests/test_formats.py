@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,6 +11,7 @@ from gallai import (
     ColoringDocument,
     EdgeColoring,
     FormatError,
+    build_lower_bound_witness,
     canonical_digest,
     parse_json,
     parse_text,
@@ -20,9 +21,20 @@ from gallai import (
     render_text,
     write_document,
 )
+from gallai import cli
 from gallai import formats as formats_module
+from gallai.trace import trace_to_json
 
-PENTAGON_EDGES = render_json(ColoringDocument(pentagon_coloring()))["edges"]
+PENTAGON_EDGES = [list(edge) for edge in pentagon_coloring().edges()]
+
+
+def edge_list(doc):
+    # the JSON document in the spelling written before documents carried
+    # .grc rows: one [u, v, colour] list per edge
+    payload = render_json(doc)
+    del payload["rows"]
+    payload["edges"] = [list(edge) for edge in doc.coloring.edges()]
+    return payload
 
 
 def first_edge_as(entry):
@@ -241,7 +253,7 @@ def test_one_digit_rows_read_like_loose_rows(monkeypatch):
             lines[i] = lines[i].replace(" ", rng.choice(("  ", "\t", " \t ")))
         split.clear()
         assert parse_text(text) == doc
-        assert split == [2]  # the header only
+        assert split == ["line 2"]  # the header only
         split.clear()
         assert parse_text("\n".join(lines)) == doc
         assert len(split) == n - 1  # the header and the n - 2 rows of two or more
@@ -258,7 +270,7 @@ def test_one_digit_rows_read_like_loose_rows(monkeypatch):
     split.clear()
     doc = parse_text("3 12\n12 1\n1\n")
     assert doc.coloring.edge_colors == (12, 1, 1)
-    assert split == [1, 2]
+    assert split == ["line 1", "line 2"]
 
 
 @pytest.mark.parametrize(
@@ -311,7 +323,7 @@ def test_malformed_text_rejected(text):
 
 
 def sealed_payload(pentagon, **overrides):
-    payload = render_json(ColoringDocument.sealed(pentagon))
+    payload = edge_list(ColoringDocument.sealed(pentagon))
     payload.update(overrides)
     return payload
 
@@ -375,7 +387,7 @@ def test_malformed_json_rejected(pentagon, overrides):
 
 
 def test_json_edge_list_must_cover_each_edge_once(pentagon):
-    payload = render_json(ColoringDocument(pentagon))
+    payload = edge_list(ColoringDocument(pentagon))
     edges = payload["edges"]
     with pytest.raises(FormatError):
         parse_json({**payload, "edges": edges[:-1] + [edges[0]]})  # duplicate
@@ -397,6 +409,195 @@ def test_parse_json_accepts_string_or_dict(pentagon):
     payload = render_json(ColoringDocument.sealed(pentagon))
     assert parse_json(payload).coloring == pentagon
     assert parse_json(json.dumps(payload)).coloring == pentagon
+
+
+def test_json_rows_are_the_grc_rows():
+    # rows[u] is .grc row u without its newline, for one-digit colours,
+    # multi-digit ones and past a byte; a single vertex has no rows
+    rng = random.Random(29)
+    for n, k in ((1, 1), (2, 1), (5, 2), (9, 9), (9, 12), (7, 300)):
+        c = oracles.arbitrary_coloring(n, k, seed=rng.randint(0, 10**9))
+        doc = ColoringDocument.sealed(c, provenance={"k": k})
+        payload = render_json(doc)
+        assert "edges" not in payload
+        assert payload["rows"] == render_text(doc).split("\n")[2 : n + 1]
+        assert round_trip_json(doc) == doc
+    # a row is stripped and split as a .grc row is
+    pentagon = pentagon_coloring()
+    payload = render_json(ColoringDocument(pentagon))
+    payload["rows"] = [" 1 2\t2  1\t", "1 2 2", "01 2", "1"]
+    assert parse_json(payload).coloring == pentagon
+
+
+# a JSON document as written before documents carried .grc rows, byte for
+# byte, and the same document as it is written now
+EDGE_LIST_DOCUMENT = """{
+  "digest": "8c3537696af08e4511adf0adf05d993c75b84e1814a9a472e23fa2ddc53467c3",
+  "edges": [
+    [
+      0,
+      1,
+      1
+    ],
+    [
+      0,
+      2,
+      2
+    ],
+    [
+      0,
+      3,
+      3
+    ],
+    [
+      1,
+      2,
+      2
+    ],
+    [
+      1,
+      3,
+      2
+    ],
+    [
+      2,
+      3,
+      1
+    ]
+  ],
+  "format": "gallai-coloring",
+  "k": 3,
+  "n": 4,
+  "provenance": {
+    "kind": "handmade"
+  },
+  "version": 1
+}
+"""
+ROWS_DOCUMENT = """{
+  "digest": "8c3537696af08e4511adf0adf05d993c75b84e1814a9a472e23fa2ddc53467c3",
+  "format": "gallai-coloring",
+  "k": 3,
+  "n": 4,
+  "provenance": {
+    "kind": "handmade"
+  },
+  "rows": [
+    "1 2 3",
+    "2 2",
+    "1"
+  ],
+  "version": 1
+}
+"""
+
+
+def test_edge_list_documents_read_as_their_rows_form(tmp_path):
+    doc = ColoringDocument.sealed(
+        EdgeColoring(4, 3, [1, 2, 3, 2, 2, 1]), {"kind": "handmade"}
+    )
+    assert parse_json(EDGE_LIST_DOCUMENT) == parse_json(ROWS_DOCUMENT) == doc
+    path = tmp_path / "doc.json"
+    write_document(path, parse_json(EDGE_LIST_DOCUMENT))
+    assert path.read_text() == ROWS_DOCUMENT
+
+
+ROWS = ["1 2 2 1", "1 2 2", "1 2", "1"]  # the pentagon's
+
+
+def rows_with(u, row):
+    return ROWS[:u] + [row] + ROWS[u + 1 :]
+
+
+# each a change to the pentagon's sealed rows document, and what the
+# refusal says
+MALFORMED_ROWS = [
+    ({"edges": PENTAGON_EDGES}, "exactly one of 'rows' and 'edges'"),
+    ({"rows": None}, "exactly one of 'rows' and 'edges'"),  # None: no key
+    ({"rows": "\n".join(ROWS)}, "'rows' must be a list of strings"),
+    ({"rows": rows_with(1, 3)}, "row 1: 3 is not a string"),
+    ({"rows": rows_with(2, None)}, "row 2: None is not a string"),
+    ({"rows": rows_with(0, ["1", "2", "2", "1"])}, "is not a string"),
+    ({"rows": ["1 2 2 1\n1 2 2", "1 2", "1"]}, "expected 4 rows of colors, found 3"),
+    ({"rows": rows_with(0, "1 2\n2 1")}, "row 0: tokens must be separated"),
+    ({"rows": rows_with(0, "1 2 2 1\r")}, "row 0: tokens must be separated"),
+    ({"rows": rows_with(0, "1 2 2 1 # note")}, "row 0: '#' is not an integer"),
+    ({"rows": rows_with(3, "1#")}, "row 3: '1#' is not an integer"),
+    ({"rows": rows_with(0, "1 2\u20032 1")}, "row 0: tokens must be separated"),
+    ({"rows": rows_with(0, "+1 2 2 1")}, "row 0: '\\+1' is not an integer"),
+    ({"rows": ROWS[:-1]}, "expected 4 rows of colors, found 3"),
+    ({"rows": ROWS + ["1"]}, "expected 4 rows of colors, found 5"),
+    ({"rows": []}, "expected 4 rows of colors, found 0"),
+    ({"rows": rows_with(1, "1 2")}, "^row 1 must list 3 colors, got 2$"),
+    ({"rows": rows_with(3, "")}, "^row 3 must list 1 colors, got 0$"),
+    ({"rows": rows_with(0, "1 2 2 1 1")}, "^row 0 must list 4 colors, got 5$"),
+    ({"rows": rows_with(0, "0 2 2 1")}, "edge \\(0,1\\) has color 0, not in 1..2"),
+    ({"rows": rows_with(2, "1 3")}, "edge \\(2,4\\) has color 3, not in 1..2"),
+    ({"rows": rows_with(2, "1 10")}, "edge \\(2,4\\) has color 10, not in 1..2"),
+    ({"rows": rows_with(1, "1 2 " + "1" * 5000)}, "row 1: 5000-digit integer"),
+    ({"digest": "00" * 32}, "digest does not match"),
+    ({"n": 4}, "expected 3 rows of colors, found 4"),
+    ({"n": 5.0}, "'n' and 'k' must be integers"),
+    ({"k": 0}, "need n >= 1 and k >= 1"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", MALFORMED_ROWS)
+def test_malformed_json_rows_rejected(tmp_path, pentagon, overrides, message):
+    payload = render_json(ColoringDocument.sealed(pentagon))
+    assert payload["rows"] == ROWS
+    payload.update(overrides)
+    if payload["rows"] is None:
+        del payload["rows"]
+    with pytest.raises(FormatError, match=message):
+        parse_json(payload)
+    with pytest.raises(FormatError, match=message):
+        parse_json(json.dumps(payload))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert cli.main(["verify", "--in", str(path)]) == 2
+
+
+@st.composite
+def row_lists(draw):
+    # n, k and a mutated list of rows: the rendered rows, joined by
+    # newlines, mutated as a .grc text is, and split again
+    c = draw(documents()).coloring
+    text = draw(text_mutations("\n".join(render_json(ColoringDocument(c))["rows"])))
+    return c.n, c.k, text.split("\n") if text else []
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_json_rows_read_like_grc_rows(case):
+    # a .grc file drops blank lines, and '#' and '\r' mean something there
+    n, k, rows = case
+    assume(all(row.strip(" \t") and "#" not in row and "\r" not in row for row in rows))
+
+    def read(parse, data):
+        try:
+            return parse(data).coloring
+        except FormatError:
+            return None
+
+    payload = {"format": "gallai-coloring", "version": 1, "n": n, "k": k, "rows": rows}
+    text = f"{n} {k}\n" + "".join(row + "\n" for row in rows)
+    assert read(parse_json, payload) == read(parse_text, text)
+
+
+def test_json_documents_stay_near_the_grc_size(tmp_path, base14):
+    # one string per row, not one [u, v, colour] list per edge: the k = 5
+    # tower's JSON document was about 20 times its .grc file
+    coloring, trace = build_lower_bound_witness(5, base14)
+    doc = ColoringDocument.sealed(
+        coloring, {"kind": "construction", "trace": trace_to_json(trace)}
+    )
+    grc, jsn = tmp_path / "t.grc", tmp_path / "t.json"
+    write_document(grc, doc)
+    write_document(jsn, doc)
+    assert coloring.n == 140
+    assert jsn.stat().st_size <= 1.5 * grc.stat().st_size
+    assert read_document(jsn) == read_document(grc) == doc
 
 
 def test_read_write_extension_sniffing(tmp_path, pentagon):
@@ -534,7 +735,7 @@ def test_readers_walk_a_provenance_only_when_it_may_not_read_back(
     # a NaN outside the provenance is no provenance error
     blob = json.dumps({**render_json(doc), "extra": float("nan")})
     assert parse_json(blob) == doc
-    blob = json.dumps({**render_json(doc), "edges": first_edge_as([0, 1, float("nan")])})
+    blob = json.dumps({**edge_list(doc), "edges": first_edge_as([0, 1, float("nan")])})
     with pytest.raises(FormatError) as exc:
         parse_json(blob)
     assert "read back" not in str(exc.value)
@@ -646,7 +847,8 @@ def text_inputs(draw):
 
 @st.composite
 def json_inputs(draw):
-    payload = render_json(draw(documents()))
+    doc = draw(documents())
+    payload = render_json(doc) if draw(st.booleans()) else edge_list(doc)
     if draw(st.booleans()):
         return draw(text_mutations(json.dumps(payload)))
     value = draw(value_mutations(payload))
@@ -654,10 +856,12 @@ def json_inputs(draw):
 
 
 def assert_round_trips(doc):
+    # doc was read from either JSON spelling; it is written as rows
     text = render_text(doc)
     assert render_text(parse_text(text)) == text
     blob = json.dumps(render_json(doc), sort_keys=True)
     assert json.dumps(render_json(parse_json(blob)), sort_keys=True) == blob
+    assert parse_json(blob) == doc
 
 
 @settings(max_examples=300, deadline=None)

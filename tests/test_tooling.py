@@ -424,23 +424,27 @@ def test_hot_kernels_walk_masks_inline():
 
 
 def test_cli_writes_json_in_one_place():
-    # every JSON text the CLI prints or writes comes from _json, so the
-    # indent, key order and final newline are chosen once
-    def dumps_calls(tree):
+    # every JSON text the CLI prints or writes comes from formats._json_text,
+    # as do JSON documents, so the indent, key order and final newline are
+    # chosen once
+    def dumps_calls(tree, indented):
         return [
             node.lineno
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "dumps"
+            and (not indented or any(kw.arg == "indent" for kw in node.keywords))
         ]
 
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    cli_tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert dumps_calls(cli_tree, False) == []
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
     (writer,) = [
-        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_json"
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_json_text"
     ]
-    assert len(dumps_calls(tree)) == 1
-    assert dumps_calls(tree) == dumps_calls(writer)
+    assert len(dumps_calls(tree, True)) == 1
+    assert dumps_calls(tree, True) == dumps_calls(writer, True)
 
 
 def library_modules():
