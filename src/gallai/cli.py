@@ -21,6 +21,7 @@ from .detect import find_mono, find_rainbow_triangle
 from .formats import (
     ColoringDocument,
     _json_text,
+    _write_text,
     read_document,
     render_json,
     render_text,
@@ -165,7 +166,7 @@ def cmd_partition(args) -> int:
     part = find_gallai_partition(doc.coloring)
     payload = _json_text(part.to_json())
     if args.out:
-        Path(args.out).write_text(payload, encoding="ascii")
+        _write_text(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK

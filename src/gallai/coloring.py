@@ -373,20 +373,14 @@ def canonical_digest(c: EdgeColoring) -> str:
     differently.  Computed once per coloring and kept on it, which is
     safe because a coloring never changes.
     """
-    if c._digest is not None:
-        return c._digest
-    if c.k <= 9:
-        body = _color_text(c, " ")[:-1]  # all on one line, no trailing space
-        body = f"{_DIGEST_HEADER}\n{c.n} {c.k}\n{body}"
-        c._digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-        return c._digest
-    # the same bytes, hashed one row at a time: no copy of the whole text
-    digest = hashlib.sha256(f"{_DIGEST_HEADER}\n{c.n} {c.k}\n".encode("ascii"))
-    sep = ""
-    for row in _wide_rows(c):
-        digest.update(f"{sep}{row}".encode("ascii"))
-        sep = " "
-    c._digest = digest.hexdigest()
+    if c._digest is None:
+        digest = hashlib.sha256(f"{_DIGEST_HEADER}\n{c.n} {c.k}\n".encode("ascii"))
+        last = b""  # each piece hashed when the next comes: the last ends in " "
+        for piece in _color_pieces(c, " "):
+            digest.update(last)
+            last = piece
+        digest.update(memoryview(last)[:-1])
+        c._digest = digest.hexdigest()
     return c._digest
 
 
@@ -399,8 +393,14 @@ def _proved(c: EdgeColoring, prove: Callable[[EdgeColoring], tuple]) -> tuple:
 
 def _color_text(c: EdgeColoring, row_end: str) -> str:
     # the edge colours in row-major order, with a space after each edge of
-    # a row but its last and row_end after that: the .grc rows, and the
-    # digest's body when k <= 9
+    # a row but its last and row_end after that: the .grc rows.  For k <= 9
+    # the one piece is decoded once, and join hands that str back as it is
+    return "".join([piece.decode("ascii") for piece in _color_pieces(c, row_end)])
+
+
+def _color_pieces(c: EdgeColoring, row_end: str) -> Iterator[bytes | bytearray]:
+    # the text of _color_text as ASCII pieces, which the digest hashes as
+    # they come: the whole text at once for k <= 9, a row at a time above
     n, colors = c.n, c._colors
     if c.k <= 9:
         # one digit per colour: the digits go at the even bytes of a
@@ -412,15 +412,13 @@ def _color_text(c: EdgeColoring, row_end: str) -> str:
         for width in range(n - 1, 0, -1):
             pos += 2 * width
             out[pos] = end
-        return out.decode("ascii")
-    return "".join([row + row_end for row in _wide_rows(c)])
-
-
-def _wide_rows(c: EdgeColoring) -> Iterator[str]:
-    # each row of a coloring with k >= 10: its colours, joined by spaces
-    colors = c._colors
+        yield out
+        return
     text = {col: str(col) for col in set(colors)}  # each colour written once
+    end = row_end.encode("ascii")
     start = 0
-    for width in range(c.n - 1, 0, -1):
-        yield " ".join(map(text.__getitem__, colors[start : start + width]))
+    for width in range(n - 1, 0, -1):
+        row = " ".join(map(text.__getitem__, colors[start : start + width]))
+        yield row.encode("ascii")  # once per row: a bytes join would hold more
+        yield end
         start += width

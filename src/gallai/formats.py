@@ -408,5 +408,11 @@ def write_document(
         payload = _json_text(render_json(doc))
     else:
         payload = render_text(doc)
+    _write_text(path, payload)
+
+
+def _write_text(path: Union[str, Path], text: str) -> None:
+    # how every file of the package is written: ASCII, with "\n" line ends
+    # on every platform, where Path.write_text would translate them
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(payload)
+        fh.write(text)

@@ -10,7 +10,10 @@ Design notes, fixed for reproducibility:
 
 * Edges are assigned in column order (0,1), (0,2), (1,2), (0,3), ...,
   one new vertex at a time, so early decisions close triangles early
-  and conflicts surface near the root.
+  and conflicts surface near the root.  This is the one edge order of
+  the engine: `PartialColoring` stores the color of (u, v), u < v, at
+  position v(v-1)/2 + u, the step at which it is assigned.  The witness
+  is put in the row-major order of `EdgeColoring` once, at the end.
 * A "node" is one attempted color assignment, counted against both the
   per-restart budget and the task's ``node_limit``; the budget is tested
   only when an untried color is left, so a tree of exactly
@@ -62,18 +65,21 @@ Design notes, fixed for reproducibility:
   edge after each move.  A color outside its own edge's domain is still
   a counted node and a prune, decided without a probe.
 * The walk is one loop over an explicit stack (colors tried, the
-  ``colorSwap`` bound and the column's domains per position); it never
-  recurses.  It writes each move straight into the `PartialColoring`'s
-  lists (the color, two row bits in that color, two ``assigned`` bits).
-  A move is held, pruned or not, until the loop comes back to its
-  position, to try the next color or to backtrack past it, and is taken
-  back there, in one place.  The domains are one list per position,
-  copied on each move, so backtracking drops them.
+  largest color allowed and the column's domains per position); it
+  never recurses.  It writes each move straight into the
+  `PartialColoring`'s lists (the color, two row bits in that color, two
+  ``assigned`` bits).  A move is held, pruned or not, until the loop
+  comes back to its position, to try the next color or to backtrack
+  past it, and is taken back there, in one place.  The domains are one
+  list per position, copied on each move, so backtracking drops them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
-  already occur (first edge gets color 1, and so on).  It is rejected
-  for color-scoped forbidden patterns, which color relabeling would
-  not preserve.  ``vertexOrder`` adds a canonical-form prune on vertex
-  transpositions, checked each time a column completes.
+  already occur (first edge gets color 1, and so on): ``tops[pos]``,
+  the largest color the edge at ``pos`` may take, is set once per move,
+  one above the move's color when that color was new, and is k
+  throughout without the symmetry.  It is rejected for color-scoped
+  forbidden patterns, which color relabeling would not preserve.
+  ``vertexOrder`` adds a canonical-form prune on vertex transpositions,
+  checked each time a column completes.
 * Restarts follow a doubling node budget; restart 0 tries colors in
   ascending order, later restarts permute the per-depth color order
   with a stream seeded by (seed, restart).  Each restart starts from a
@@ -93,7 +99,7 @@ import time
 from itertools import count
 from typing import Any, Callable, Optional
 
-from .coloring import EdgeColoring, edge_index
+from .coloring import EdgeColoring
 from .detect import find_mono, find_rainbow_triangle
 from .errors import _Record, exact_int
 from .kernels import rainbow_thirds, through_check
@@ -197,15 +203,10 @@ class SearchTask(_Record):
                 (PatternSpec.from_json(item["pattern"]), item.get("color"))
                 for item in data.get("forbidden", ())
             )
-            return cls(
-                n=data["n"],
-                k=data["k"],
-                forbidden=forbidden,
-                forbid_rainbow_triangle=data.get("forbid_rainbow_triangle", False),
-                symmetry=data.get("symmetry", "colorSwap"),
-                node_limit=data.get("node_limit", DEFAULT_NODE_LIMIT),
-                seed=data.get("seed", 0),
-            )
+            # a key left out takes its default from __init__, which refuses a null
+            optional = ("forbid_rainbow_triangle", "symmetry", "node_limit", "seed")
+            given = {key: data[key] for key in optional if key in data}
+            return cls(data["n"], data["k"], forbidden, **given)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed task JSON: {exc}") from exc
 
@@ -336,9 +337,9 @@ def _any_check(checks: list) -> Callable[[list[int], int, int], bool]:
 
 def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
     # completed column vv: prefix covers K_{vv+1}; prune if swapping
-    # labels (j, vv) and re-canonicalizing colors gives a smaller prefix
+    # labels (j, vv) and re-canonicalizing colors gives a smaller prefix.
+    # colors[pos] is the edge order[pos]
     prefix_len = (vv + 1) * vv // 2
-    n = pc.n
     colors = pc.colors
     for j in range(vv):
         relabel = [0] * (pc.k + 1)
@@ -349,12 +350,12 @@ def _canonical_ok(pc: PartialColoring, order, vv: int) -> bool:
             b2 = vv if b == j else (j if b == vv else b)
             if a2 > b2:
                 a2, b2 = b2, a2
-            col = colors[edge_index(n, a2, b2)]
+            col = colors[b2 * (b2 - 1) // 2 + a2]
             rc = relabel[col]
             if rc == 0:
                 rc = relabel[col] = next_id
                 next_id += 1
-            cur = colors[edge_index(n, a, b)]
+            cur = colors[pos]
             if rc != cur:
                 if rc < cur:
                     return False
@@ -387,8 +388,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
     t_start = time.perf_counter()
     n, k = task.n, task.k
     m = n * (n - 1) // 2
-    order = [(u, v) for v in range(1, n) for u in range(v)]
-    index = [edge_index(n, u, v) for u, v in order]  # of order[pos] in pc.colors
+    order = [(u, v) for v in range(1, n) for u in range(v)]  # edge at pc.colors[pos]
     colorswap = task.symmetry in ("colorSwap", "vertexOrder")
     vertexorder = task.symmetry == "vertexOrder"
     rainbow = task.forbid_rainbow_triangle
@@ -408,19 +408,18 @@ def search_witness(task: SearchTask) -> SearchOutcome:
         conflict, need, triangular = pc.conflict, pc._need, pc._triangular
         edge_colors, masks, assigned = pc.colors, pc.masks, pc.assigned
         tried = [0] * m  # colors of color_orders[pos] tried at pos
-        max_used = [0] * (m + 1)  # largest color on the edges before pos
+        tops = [1 if colorswap else k] * (m + 1)  # largest color allowed at pos
         # domains[pos][c]: bit j set iff (j, v) colored c completes no
         # forbidden structure, given the edges before pos; (u, v) = order[pos]
         domains: list[list[int]] = [[]] * m
         pos = 0
         while 0 <= pos < m:
             u, v = order[pos]
-            e = index[pos]
             bu, bv = 1 << u, 1 << v
-            c = edge_colors[e]
+            c = edge_colors[pos]
             if c:  # back at a held move: take it back
                 row = masks[c]
-                edge_colors[e] = 0
+                edge_colors[pos] = 0
                 row[u] ^= bv
                 row[v] ^= bu
                 assigned[u] ^= bv
@@ -429,7 +428,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             if i == 0 and u == 0:  # first arrival at (0, v): open column v
                 domains[pos] = _column_domains(conflict, need, v)
             colors = color_orders[pos]
-            top = min(k, max_used[pos] + 1) if colorswap else k
+            top = tops[pos]
             while i < k and colors[i] > top:
                 i += 1
             if i == k:  # every color tried: back to the previous edge
@@ -446,7 +445,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                 prunes_conflict += 1
                 continue
             row = masks[c]
-            edge_colors[e] = c
+            edge_colors[pos] = c
             row[u] |= bv
             row[v] |= bu
             assigned[u] |= bv
@@ -487,7 +486,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             elif vertexorder and not _canonical_ok(pc, order, v):
                 prunes_canonical += 1
                 continue
-            max_used[pos + 1] = c if c > max_used[pos] else max_used[pos]
+            tops[pos + 1] = top + 1 if c == top < k else top
             pos += 1
         if pos == m or pos < 0 or nodes >= limit:
             break
@@ -497,7 +496,9 @@ def search_witness(task: SearchTask) -> SearchOutcome:
         nodes, prunes_conflict, prunes_lookahead, prunes_canonical, restart, elapsed
     )
     if pos == m:
-        witness = EdgeColoring(n, k, pc.colors)
+        # the positions of the edges in row-major order, that of EdgeColoring
+        at = [v * (v - 1) // 2 + u for u in range(n) for v in range(u + 1, n)]
+        witness = EdgeColoring(n, k, [pc.colors[i] for i in at])
         _revalidate(task, witness)
         return SearchOutcome("witness", witness, stats)
     if pos < 0:
@@ -527,14 +528,7 @@ def verify_unavoidable(
     ``cap`` bounds the number of search nodes; hitting it yields
     ``too_large`` rather than an answer.
     """
-    task = SearchTask(
-        n=n,
-        k=k,
-        forbidden=((pattern, None),),
-        symmetry="colorSwap",
-        node_limit=cap,
-        seed=0,
-    )
+    task = SearchTask(n=n, k=k, forbidden=((pattern, None),), node_limit=cap)
     out = search_witness(task)
     if out.status == "witness":
         return UnavoidableOutcome("counterexample", out.witness, out.stats)

@@ -127,17 +127,38 @@ class PartialAssignment(dict):
 def fill(pc, assignment):
     """Write ``assignment`` into the fresh search state ``pc`` (a
     `PartialColoring`) and return it.  Each edge is written as the search
-    loop writes a move: its color at its row-major position, a bit in
-    each end's row of that color, a bit in each end's ``assigned`` mask.
+    loop writes a move: its color at the position of the step that
+    assigns it (edges go column by column, so (u, v), u < v, is at
+    v(v-1)/2 + u), a bit in each end's row of that color, a bit in each
+    end's ``assigned`` mask.
     """
-    position = {e: i for i, e in enumerate(combinations(range(pc.n), 2))}
     for (u, v), color in assignment.items():
-        pc.colors[position[u, v]] = color
+        pc.colors[v * (v - 1) // 2 + u] = color
         pc.masks[color][u] |= 1 << v
         pc.masks[color][v] |= 1 << u
         pc.assigned[u] |= 1 << v
         pc.assigned[v] |= 1 << u
     return pc
+
+
+def canonical_column(assignment, w) -> bool:
+    """Is the coloring of K_{w+1} in ``assignment`` (a dict from (u, v),
+    u < v, to a color) no larger, read column by column, than each copy
+    with labels j and w swapped, j < w, and its colors renamed 1, 2, ...
+    in order of first appearance?  The check `vertexOrder` makes when
+    column w completes."""
+    edges = [(u, v) for v in range(1, w + 1) for u in range(v)]
+    current = [assignment[e] for e in edges]
+    for j in range(w):
+        swap = {j: w, w: j}
+        names = {}
+        swapped = []
+        for u, v in edges:
+            a, b = sorted((swap.get(u, u), swap.get(v, v)))
+            swapped.append(names.setdefault(assignment[a, b], len(names) + 1))
+        if swapped < current:
+            return False
+    return True
 
 
 def conflict_through_edge(c, pattern, color, edge) -> bool:

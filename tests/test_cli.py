@@ -370,8 +370,21 @@ def test_json_to_stdout_is_the_file_bytes(tmp_path, capsys, argv):
     assert code == 0
     code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(path))
     assert code == 0
-    assert path.read_text(encoding="ascii") == out
+    assert path.read_bytes() == out.encode("ascii")
     assert json.loads(out)["rows"]
+
+
+def test_partition_out_is_the_stdout_bytes(tmp_path, capsys):
+    # partition --out writes through the package's one file writer: ASCII
+    # with "\n" line ends, the bytes that go to stdout without --out
+    grc = save(tmp_path, "w.grc", join(mono_k6(), mono_k6(), 3))
+    path = tmp_path / "part.json"
+    code, out, _ = run(capsys, "partition", "--in", grc)
+    assert code == 0
+    code, printed, _ = run(capsys, "partition", "--in", grc, "--out", str(path))
+    assert code == 0 and printed == ""
+    assert path.read_bytes() == out.encode("ascii")
+    assert json.loads(out)["p"] > 1
 
 
 def test_digest_command(tmp_path, capsys):
@@ -396,6 +409,12 @@ def test_explicit_pattern_file(tmp_path, capsys):
         capsys, "verify", "--in", path, "--pattern", f"explicit:{broken}"
     )
     assert code == 2 and "error:" in err
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([[0, 1], [1, 2]]))
+    code, _, err = run(
+        capsys, "verify", "--in", path, "--pattern", f"explicit:{listed}"
+    )
+    assert code == 2 and "must hold a JSON object" in err
 
 
 def test_deeply_nested_json_files_are_bad_input(tmp_path, capsys):
@@ -486,8 +505,9 @@ def test_pattern_names_strip_only_spaces_and_tabs(tmp_path, capsys):
     for token in ("\u2003w4", "kt:3\u3000", "\x1cp3"):
         code, _, err = run(capsys, "verify", "--in", path, "--pattern", token)
         assert code == 2 and err and "Traceback" not in err
-    code, out, _ = run(capsys, "verify", "--in", path, "--pattern", " \tk3\t ")
-    assert code == 1 and json.loads(out)["ok"] is False
+    for token, label in ((" \tk3\t ", "kt:3"), ("p3", "p3")):
+        code, out, _ = run(capsys, "verify", "--in", path, "--pattern", token)
+        assert code == 1 and json.loads(out)["pattern"] == label
 
 
 def test_importing_the_cli_builds_no_parser():

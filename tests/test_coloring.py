@@ -122,10 +122,13 @@ def test_constructor_matches_per_edge_checker(n, k, data):
     want = first_bad_color(n, k, colors)
     if want is None:
         assert EdgeColoring(n, k, colors).edge_colors == tuple(colors)
+        # any other iterable is read into a tuple first
+        assert EdgeColoring(n, k, iter(colors)).edge_colors == tuple(colors)
     else:
-        with pytest.raises(ValueError) as exc:
-            EdgeColoring(n, k, colors)
-        assert str(exc.value) == want
+        for form in (colors, iter(colors)):
+            with pytest.raises(ValueError) as exc:
+                EdgeColoring(n, k, form)
+            assert str(exc.value) == want
 
 
 @given(st.integers(1, 7), st.integers(1, 6), st.data())
@@ -192,6 +195,9 @@ def test_color_of_lookup_and_errors():
             call()
     assert c.rows(1) == (2, 1, 0) and c.rows(4) == (0, 0, 0)
     assert c.neighbors(1, 0) == 2 and c.neighbors(0, 0) == 0
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=3"):
+            c.neighbors(1, v)
 
 
 def test_single_vertex_has_no_colors():
@@ -633,6 +639,8 @@ def test_equality_ignores_filled_caches(c, filled):
         touch(warm, accessor)
     assert fresh == warm and warm == fresh
     assert hash(fresh) == hash(warm)
+    # not equal to its own colours: only a coloring compares
+    assert fresh.__eq__(c.edge_colors) is NotImplemented and fresh != c.edge_colors
     assert len({fresh, warm}) == 1
 
 

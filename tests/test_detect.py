@@ -458,6 +458,8 @@ def test_color_and_vertex_arguments_are_ints():
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 call()
+    with pytest.raises(ValueError, match="colors are positive, got 0"):
+        wheel_from_mono_pair(c, 3, 4, 0)
 
 
 def test_find_mono_agrees_with_oracle_on_all_patterns():

@@ -68,6 +68,8 @@ def test_task_validation():
         # scoped pattern under color symmetry is rejected outright
         SearchTask(n=3, k=2, forbidden=((K3, 1),), symmetry="colorSwap")
     SearchTask(n=3, k=2, forbidden=((K3, 1),), symmetry="none")
+    with pytest.raises(ValueError, match="not a pattern: 'k3'"):
+        SearchTask(n=3, k=2, forbidden=(("k3", None),))
     # fields are type-checked, never coerced
     for bad in (
         {"n": 5.0},
@@ -91,6 +93,9 @@ def test_task_validation():
         {"forbid_rainbow_triangle": 0},
         {"symmetry": 5},
         {"symmetry": None},
+        {"forbid_rainbow_triangle": None},
+        {"node_limit": None},
+        {"seed": None},
         {"node_limit": 1e6},
         {"seed": 1.5},
         {"forbidden": [{"pattern": {"kind": "clique", "t": 3}, "color": 1.0}]},
@@ -107,6 +112,8 @@ def test_task_validation():
             SearchTask.from_json({"n": 5, "k": 2, "symmetry": "none", **override})
     ok = {"n": 5, "k": 2, "symmetry": "none", "forbidden": [{"pattern": explicit_p3}]}
     assert SearchTask.from_json(ok).forbidden[0][0].kind == "explicit"
+    # a key left out takes the constructor's default
+    assert SearchTask.from_json({"n": 5, "k": 2}) == SearchTask(5, 2)
 
 
 def test_task_json_round_trip():
@@ -433,6 +440,25 @@ def test_incremental_rainbow_vs_rescan():
             assert pc.conflict(*edge, color) == oracles.rainbow_through_edge(
                 partial, edge
             )
+
+
+def test_canonical_check_matches_relabel_oracle():
+    # the vertexOrder check reads the colors where oracles.fill writes
+    # them, the positions at which the search assigns each edge
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        w = rng.randint(1, n - 1)
+        edges = [(u, v) for v in range(1, w + 1) for u in range(v)]
+        assignment = {e: rng.randint(1, k) for e in edges}
+        task = SearchTask(n=n, k=k, symmetry="vertexOrder")
+        pc = oracles.fill(PartialColoring(task), assignment)
+        order = [(u, v) for v in range(1, n) for u in range(v)]
+        want = oracles.canonical_column(assignment, w)
+        assert search_module._canonical_ok(pc, order, w) == want, (assignment, w)
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_restarts_engage_and_stay_deterministic():

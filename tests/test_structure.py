@@ -58,6 +58,7 @@ def test_verify_accepts_join_halves(pentagon):
     j = join(pentagon, pentagon, 3)
     check = verify_gallai_partition(j, [range(5), range(5, 10)])
     assert check.ok and check.violations == ()
+    assert bool(check) is True
 
 
 def test_verify_singletons_of_two_coloring(pentagon):
@@ -74,7 +75,7 @@ def test_verify_flags_rainbow_singletons():
 
 def test_verify_flags_bichromatic_pair(pentagon):
     check = verify_gallai_partition(pentagon, [[0, 1], [2, 3, 4]])
-    assert not check.ok
+    assert not check.ok and bool(check) is False
     assert any("joined in colors" in v for v in check.violations)
 
 

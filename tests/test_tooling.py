@@ -390,6 +390,19 @@ def test_search_kernels_run_only_inside_conflict():
     assert kernels and uses(tree, "through_check") == kernels
 
 
+def test_search_keeps_one_edge_order():
+    # PartialColoring stores each colour at the step that assigns its edge;
+    # the row-major order of EdgeColoring enters only through the witness,
+    # so edge_index, its map, is neither imported nor called in search.py
+    tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
+    found = [
+        f"search.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if "edge_index" in referenced_names(node)
+    ]
+    assert not found, found
+
+
 def test_only_patterns_and_kernels_read_pattern_kind():
     # patterns.py says what a kind is, kernels.py which kernel finds it;
     # a branch on the kind anywhere else is a second, parallel choice
@@ -445,6 +458,32 @@ def test_cli_writes_json_in_one_place():
     ]
     assert len(dumps_calls(tree, True)) == 1
     assert dumps_calls(tree, True) == dumps_calls(writer, True)
+
+
+def test_files_are_written_in_one_place():
+    # formats._write_text opens every file the package writes, so each is
+    # ASCII with "\n" line ends; Path.write_text would translate them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("write_text", "write_bytes", "open")
+        )
+    ]
+    tree = ast.parse((PACKAGE / "formats.py").read_text(encoding="utf-8"))
+    (writer,) = [
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_write_text"
+    ]
+    (opened,) = [
+        node.lineno
+        for node in ast.walk(writer)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "open"
+    ]
+    assert found == [f"formats.py:{opened}"], found
 
 
 def library_modules():
