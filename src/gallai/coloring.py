@@ -54,8 +54,9 @@ class EdgeColoring:
     Every argument of these accessors and of `color_of` is an int proper.
 
     The colors are held once: as ``bytes``, one per edge, when k < 256,
-    and as a tuple of ints above that.  The digest, the ``.grc`` rows and
-    the dense row build read this store, and `edge_colors` copies it.
+    and as a tuple of ints above that.  The digest, the ``.grc`` rows,
+    the dense row build and the rainbow scan (a row slice at a time)
+    read this store, and `edge_colors` copies it.
     Each color is checked once, where it enters the package.  The
     constructor checks ``bytes`` (which `parse_text` passes for rows of
     one-digit colors) by one ``translate`` that deletes 1..k, anything
@@ -252,6 +253,13 @@ def _dense_rows(n: int, data: bytes, used: list[int]) -> dict[int, tuple[int, ..
         ones = grid.translate(table)
         rows[c] = tuple(int(ones[i : i + n], 2) | 0 for i in starts)
     return rows
+
+
+def _row_colors(c: EdgeColoring, u: int) -> Sequence[int]:
+    # the colours of (u, u+1), ..., (u, n-1): one slice of the store, so a
+    # row scan need not copy every colour
+    start = edge_index(c.n, u, u + 1)
+    return c._colors[start : start + c.n - u - 1]
 
 
 def _mask_of(c: EdgeColoring, vertices: Iterable[int], name: str) -> int:

@@ -9,11 +9,11 @@ The mask kernels live in :mod:`gallai.kernels`: `gallai_split` and
 `rainbow_free` (Gallai splits over a worklist), which `_gallai_proof`
 runs once per coloring for `find_rainbow_triangle` and
 `find_gallai_partition` to show that there is no rainbow triangle, and
-`rainbow_within` (on `rainbow_thirds`, the test the search shares) to
-name the least one when there is; `first_copy`, which picks the full
-scan for a pattern's kind there, so `find_mono` never looks at the
-kind; `path3_within` behind `has_mono_p3_in_color` and
-`wheel_from_mono_pair`; and `mono_between` for `mono_complete_between`.
+`rainbow_within` to name the least one when there is; `first_copy`,
+which picks the full scan for a pattern's kind there, so `find_mono`
+never looks at the kind; `path3_within` behind `has_mono_p3_in_color`
+and `wheel_from_mono_pair`; and `mono_between` for
+`mono_complete_between`.
 
 Detectors return :class:`Embedding` certificates (or ``None``), never
 bare booleans, so callers can re-validate any reported hit.

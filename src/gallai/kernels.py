@@ -11,9 +11,10 @@ the detectors promise; the through-edge checks tell the search whether
 the edge (u, v) completes a copy.  Only here does a `PatternSpec`'s kind
 pick its kernels: `first_copy` the full scan (`find_mono` runs it per
 color), `through_check` the check (`PartialColoring` keeps one per
-forbidden pattern).  `rainbow_thirds` is the one
-rainbow-triangle test: `rainbow_within` scans a mask of an
-`EdgeColoring` with it, the search probes one edge with it.
+forbidden pattern).  `rainbow_within` is the one rainbow-triangle
+scan, over a mask of an `EdgeColoring`, reading one row of its colors
+at a time; the search needs no rainbow kernel, because its column
+domains keep the rainbow rule.
 `joined_to_all`, the AND of a mask's rows, is the one "joined in one
 color" test: `mono_between` is built on it, `coarsen` keeps each
 cluster's two masks with it, `structure` tests the pairs of parts in
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .coloring import edge_index
+from .coloring import _row_colors
 
 Rows = Sequence[int]
 Slots = tuple[tuple[int, tuple[int, ...]], ...]
@@ -243,15 +244,6 @@ def mono_between(c, xmask: int, ymask: int) -> Optional[int]:
     return None if ymask & ~joined_to_all(c.rows(color), xmask) else color
 
 
-def rainbow_thirds(classes: Iterable[Rows], adj: Rows, u: int, v: int, cand: int) -> int:
-    """The w of ``cand`` (which excludes u and v) that make (u, v, w) rainbow when
-    (u, v) has the color whose rows are ``adj``; ``classes`` has every color's rows."""
-    bad = adj[u] | adj[v]
-    for rows in classes:
-        bad |= rows[u] & rows[v]
-    return cand & ~bad
-
-
 def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
     """First rainbow triangle (u, v, w) inside ``mask`` of the `EdgeColoring`
     c, or None.
@@ -261,16 +253,20 @@ def rainbow_within(c, mask: int) -> Optional[tuple[int, int, int]]:
     """
     classes = {col: c.rows(col) for col in c.colors_used()}
     every = tuple(classes.values())
-    colors = c.edge_colors
-    n = c.n
     for u in bits(mask):
-        row = edge_index(n, u, u + 1) - u - 1  # colors[row + v] is (u, v)
+        row = _row_colors(c, u)  # row[v - u - 1] is the color of (u, v)
         rest = mask & above(u)
         while rest & (rest - 1):  # room for v and a w above it
             b = rest & -rest
             v = b.bit_length() - 1
             rest ^= b  # now the mask above v: the candidates for w
-            cand = rainbow_thirds(every, classes[colors[row + v]], u, v, rest)
+            # (u, v, w) is not rainbow when (u, w) or (v, w) has the color
+            # of (u, v), or (u, w) and (v, w) share a color
+            adj = classes[row[v - u - 1]]
+            bad = adj[u] | adj[v]
+            for rows in every:
+                bad |= rows[u] & rows[v]
+            cand = rest & ~bad
             if cand:
                 return u, v, least(cand)
     return None

@@ -18,13 +18,13 @@ Design notes, fixed for reproducibility:
   per-restart budget and the task's ``node_limit``; the budget is tested
   only when an untried color is left, so a tree of exactly
   ``node_limit`` nodes still ends ``exhausted``.
-* Conflicts are detected incrementally: only structures through the
+* Pattern conflicts are detected incrementally: only copies through the
   newly colored edge are checked, by the kernels of :mod:`gallai.kernels`:
-  `rainbow_thirds` (as in `find_rainbow_triangle`) and, per color, one
-  callable over the checks `through_check` picks for the kinds of the
-  patterns forbidden there.  None of them reads the edge's own bit, so
-  the forward check probes the later edges of the column while they are
-  open.  Every probe that runs goes through `PartialColoring.conflict`.
+  per color, one callable over the checks `through_check` picks for the
+  kinds of the patterns forbidden there.  None of them reads the edge's
+  own bit, so the forward check probes the later edges of the column
+  while they are open.  Every probe that runs goes through
+  `PartialColoring.conflict`, which checks patterns only.
 * The forward check keeps, per color c, a domain over the edges (j, v)
   of the open column: the bitmask of the j for which (j, v) colored c
   completes no forbidden structure.  The loop opens column v on its
@@ -35,14 +35,17 @@ Design notes, fixed for reproducibility:
   of (j, v) to {c, color(u, j)} when those differ, with no probe.  A
   move that leaves a later edge without a color is pruned, and the
   probes stop at the first such edge.
+* The domains are the engine's only rainbow rule.  Take a triangle
+  (j, w, v) with j < w < v: its edge (w, v) is colored last, and the
+  move that colors (j, v), after (j, w), narrows the domain of (w, v)
+  to the colors that leave the triangle non-rainbow.  So an edge's
+  domain alone decides whether its own color closes a rainbow triangle,
+  and no probe needs the rainbow test.
 * Two rules skip probes whose answer is known to be False, each from a
   property of the patterns forbidden in the probed color c.  A probe is
   of (j, w) at the opening of column w, where w has no edge yet, or of
   a later (j, v) after a move (u, v) = c while c is still in its
-  domain, so that it completed nothing before the move.  The rainbow
-  test cannot (newly) fire in either case: at the opening
-  ``assigned[w]`` is 0, and after the move the one new triangle
-  (j, u, v) has two edges in c.
+  domain, so that it completed nothing before the move.
 
   - Rule A: let every pattern forbidden in c have minimum degree at
     least d.  A copy through (j, w) gives w at least d edges in c, one
@@ -67,11 +70,11 @@ Design notes, fixed for reproducibility:
 * The walk is one loop over an explicit stack (colors tried, the
   largest color allowed and the column's domains per position); it
   never recurses.  It writes each move straight into the
-  `PartialColoring`'s lists (the color, two row bits in that color, two
-  ``assigned`` bits).  A move is held, pruned or not, until the loop
-  comes back to its position, to try the next color or to backtrack
-  past it, and is taken back there, in one place.  The domains are one
-  list per position, copied on each move, so backtracking drops them.
+  `PartialColoring`'s lists (the color and two row bits in that color).
+  A move is held, pruned or not, until the loop comes back to its
+  position, to try the next color or to backtrack past it, and is
+  taken back there, in one place.  The domains are one list per
+  position, copied on each move, so backtracking drops them.
 * ``colorSwap`` symmetry allows a new color only when all smaller ones
   already occur (first edge gets color 1, and so on): ``tops[pos]``,
   the largest color the edge at ``pos`` may take, is set once per move,
@@ -102,7 +105,7 @@ from typing import Any, Callable, Optional
 from .coloring import EdgeColoring
 from .detect import find_mono, find_rainbow_triangle
 from .errors import _Record, exact_int
-from .kernels import rainbow_thirds, through_check
+from .kernels import through_check
 from .patterns import PatternSpec
 
 __all__ = [
@@ -260,31 +263,18 @@ class UnavoidableOutcome(_Record):
 class PartialColoring:
     """Mutable assignment state over a task; the engine's working object.
 
-    Color 0 means unassigned.  Tracks per-color neighbor bitmasks plus
-    an any-color adjacency mask per vertex, which is all the conflict
-    kernels need.  Only `search_witness` writes the lists, unchecked;
-    ``masks``, ``assigned`` and `conflict` are what others may read.
+    Color 0 means unassigned.  Tracks per-color neighbor bitmasks, which
+    is all the pattern kernels need; the rainbow rule is kept by the
+    search's column domains, not here.  Only `search_witness` writes the
+    lists, unchecked; ``masks`` and `conflict` are what others may read.
     """
 
-    __slots__ = (
-        "n",
-        "k",
-        "colors",
-        "masks",
-        "assigned",
-        "_rainbow",
-        "_through",
-        "_need",
-        "_triangular",
-    )
+    __slots__ = ("k", "colors", "masks", "_through", "_need", "_triangular")
 
     def __init__(self, task: SearchTask):
-        self.n = task.n
         self.k = task.k
         self.colors = [0] * (task.n * (task.n - 1) // 2)
         self.masks = [[0] * task.n for _ in range(task.k + 1)]
-        self.assigned = [0] * task.n
-        self._rainbow = task.forbid_rainbow_triangle
         # per color c: _through[c] checks every pattern forbidden in c; a
         # probe of (j, w) in c can fire only when w has _need[c] neighbors
         # in c (rule A), and bit c of _triangular is set when each of those
@@ -300,13 +290,9 @@ class PartialColoring:
 
     def conflict(self, u: int, v: int, color: int) -> bool:
         """Does the edge (u, v), colored ``color``, complete a forbidden
-        structure?  Only structures through it count; it may be open."""
-        adj = self.masks[color]
-        if self._rainbow and rainbow_thirds(
-            self.masks, adj, u, v, self.assigned[u] & self.assigned[v]
-        ):
-            return True
-        return self._through[color](adj, u, v)
+        monochromatic pattern?  Only copies through it count; it may be
+        open.  Rainbow triangles are not checked here."""
+        return self._through[color](self.masks[color], u, v)
 
 
 def _shape(pattern: PatternSpec) -> tuple[int, bool]:
@@ -406,7 +392,7 @@ def search_witness(task: SearchTask) -> SearchOutcome:
         stop_at = min(limit, nodes + (_RESTART_BASE << restart))
         pc = PartialColoring(task)
         conflict, need, triangular = pc.conflict, pc._need, pc._triangular
-        edge_colors, masks, assigned = pc.colors, pc.masks, pc.assigned
+        edge_colors, masks = pc.colors, pc.masks
         tried = [0] * m  # colors of color_orders[pos] tried at pos
         tops = [1 if colorswap else k] * (m + 1)  # largest color allowed at pos
         # domains[pos][c]: bit j set iff (j, v) colored c completes no
@@ -422,8 +408,6 @@ def search_witness(task: SearchTask) -> SearchOutcome:
                 edge_colors[pos] = 0
                 row[u] ^= bv
                 row[v] ^= bu
-                assigned[u] ^= bv
-                assigned[v] ^= bu
             i = tried[pos]
             if i == 0 and u == 0:  # first arrival at (0, v): open column v
                 domains[pos] = _column_domains(conflict, need, v)
@@ -448,8 +432,6 @@ def search_witness(task: SearchTask) -> SearchOutcome:
             edge_colors[pos] = c
             row[u] |= bv
             row[v] |= bu
-            assigned[u] |= bv
-            assigned[v] |= bu
             if u + 1 < v:
                 # forward check: every later edge into v must keep an
                 # option.  Only color c's rows changed, so the patterns

@@ -1,6 +1,6 @@
 """Independent reference implementations used to cross-check the fast
-detectors and the search's conflict checks, plus small helpers for
-building test colorings and search states.
+detectors, the search's conflict checks and its witnesses, plus small
+helpers for building test colorings and search states.
 
 Everything here enumerates vertex subsets and arrangements directly
 with `itertools` and `color_of` lookups.  No bitmask logic is shared
@@ -12,7 +12,7 @@ pattern: a path on 3 vertices has 3 (choice of center), a 4-cycle has
 15 (5 hubs times 3 rim cycles), a clique has 1.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 import random
 
 from gallai import EdgeColoring
@@ -129,15 +129,14 @@ def fill(pc, assignment):
     `PartialColoring`) and return it.  Each edge is written as the search
     loop writes a move: its color at the position of the step that
     assigns it (edges go column by column, so (u, v), u < v, is at
-    v(v-1)/2 + u), a bit in each end's row of that color, a bit in each
-    end's ``assigned`` mask.
+    v(v-1)/2 + u) and a bit in each end's row of that color.  That is
+    all the state there is: the search keeps its rainbow rule in its
+    column domains, not in ``pc``.
     """
     for (u, v), color in assignment.items():
         pc.colors[v * (v - 1) // 2 + u] = color
         pc.masks[color][u] |= 1 << v
         pc.masks[color][v] |= 1 << u
-        pc.assigned[u] |= 1 << v
-        pc.assigned[v] |= 1 << u
     return pc
 
 
@@ -186,15 +185,45 @@ def conflict_through_edge(c, pattern, color, edge) -> bool:
     return False
 
 
-def rainbow_through_edge(c, edge) -> bool:
-    eu, ev = edge
-    for w in range(c.n):
-        if w in (eu, ev):
-            continue
-        cols = {c.color_at(eu, ev), c.color_at(eu, w), c.color_at(ev, w)}
-        if 0 not in cols and len(cols) == 3:
-            return True
-    return False
+def first_valid_coloring(n, k, forbidden, rainbow):
+    """The first k-coloring of K_n, read column by column ((0,1), (0,2),
+    (1,2), (0,3), ...) with colors ascending, that has no forbidden
+    pattern (``forbidden`` as in a `SearchTask`) and, when ``rainbow``
+    is set, no rainbow triangle; None when there is none.
+
+    Each column's colors are enumerated whole, in order, and a prefix
+    K_{v+1} is dropped when it already holds a forbidden structure,
+    which every extension would keep.
+    """
+
+    def coloring(cols):  # cols[v - 1][u] is the color of (u, v)
+        size = len(cols) + 1
+        return EdgeColoring(
+            size, k, [cols[v - 1][u] for u in range(size) for v in range(u + 1, size)]
+        )
+
+    def valid(c):
+        if rainbow and rainbow_triangles(c):
+            return False
+        return not any(
+            oracle_for(pattern)(c, i)
+            for pattern, scope in forbidden
+            for i in (range(1, k + 1) if scope is None else (scope,))
+        )
+
+    def extend(cols):
+        if len(cols) == n - 1:
+            return coloring(cols)
+        for column in product(range(1, k + 1), repeat=len(cols) + 1):
+            cols.append(column)
+            if valid(coloring(cols)):
+                found = extend(cols)
+                if found is not None:
+                    return found
+            cols.pop()
+        return None
+
+    return extend([])
 
 
 def color_text(c, row_end):

@@ -261,6 +261,20 @@ def test_search_report_is_the_search_stats(monkeypatch, capsys):
     assert report["witness_digest"] == canonical_digest(outcome.witness)
 
 
+def test_internal_error_exits_2_on_stderr_alone(monkeypatch, capsys):
+    # a RuntimeError from the library (such as a witness the detectors
+    # reject) is reported as an internal error, with nothing on stdout
+    def broken(task):
+        raise RuntimeError("engine returned a coloring with a rainbow triangle")
+
+    monkeypatch.setattr(cli, "search_witness", broken)
+    code, out, err = run(capsys, "search", "--n", "5", "--k", "2", "--pattern", "k3")
+    assert code == 2
+    assert err.startswith("internal error:")
+    assert "rainbow triangle" in err
+    assert out == ""
+
+
 def test_search_limit_exit_3(capsys):
     code, out, _ = run(
         capsys,

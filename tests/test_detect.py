@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -94,6 +95,23 @@ def test_rainbow_within_is_least_oracle_triangle_inside_mask():
             assert got == (min(inside) if inside else None)
             hits += got is not None
     assert hits > 100
+
+
+def test_rainbow_within_copies_no_color_store():
+    # the scan reads the colors one row slice at a time; a copy of all m
+    # colors as a tuple would take 8 bytes per edge.  Two colors have no
+    # rainbow triangle, so every pair is scanned
+    n = 300
+    m = n * (n - 1) // 2
+    c = oracles.arbitrary_coloring(n, 2, seed=5)
+    c.colors_used()  # the rows are built on first use, outside the count
+    tracemalloc.start()
+    try:
+        assert rainbow_within(c, c.vertex_mask) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m // 4, (peak, m)
 
 
 def test_rainbow_on_near_gallai_colorings(near_gallai):

@@ -426,20 +426,37 @@ def test_every_probe_is_a_partial_coloring_conflict_call(monkeypatch, base14):
     assert (out.stats.nodes, calls) == (5147, 11620)
 
 
-def test_incremental_rainbow_vs_rescan():
-    rng = random.Random(515)
-    task = SearchTask(n=7, k=4, forbid_rainbow_triangle=True, symmetry="none")
-    for trial in range(60):
-        partial = oracles.PartialAssignment(7)
-        edges = list(combinations(range(7), 2))
-        rng.shuffle(edges)
-        for edge in edges[: rng.randint(3, len(edges))]:
-            partial[edge] = rng.randint(1, 4)
-        pc = oracles.fill(PartialColoring(task), partial)
-        for edge, color in partial.items():
-            assert pc.conflict(*edge, color) == oracles.rainbow_through_edge(
-                partial, edge
-            )
+def test_witness_is_the_first_valid_coloring_in_column_order():
+    # every prune is sound, so with no symmetry and no restart the search
+    # returns the first valid coloring in its edge order, colors
+    # ascending, or exhausts exactly when there is none: checked against
+    # enumeration, with and without the rainbow rule that the domains keep
+    menu = [
+        ((P3, None),),
+        ((K3, None),),
+        ((C4, None), (P3, None)),
+        ((W4, None),),
+        ((TRIANGLE_WITH_TAIL, None),),
+        ((P3, 1),),
+        ((K3, 2), (C4, 1)),
+    ]
+    statuses = set()
+    for n, k, forbidden, rainbow in product(range(3, 6), (2, 3), menu, (False, True)):
+        task = SearchTask(n=n, k=k, forbidden=forbidden,
+                          forbid_rainbow_triangle=rainbow, symmetry="none")
+        out = search_witness(task)
+        assert out.stats.restarts == 0
+        want = oracles.first_valid_coloring(n, k, forbidden, rainbow)
+        assert out.witness == want, task
+        assert out.status == ("exhausted" if want is None else "witness")
+        statuses.add(out.status)
+    assert statuses == {"witness", "exhausted"}
+    # the rainbow rule alone exhausts this task
+    p3 = SearchTask(n=3, k=3, forbidden=((P3, None),), symmetry="none")
+    assert search_witness(p3).status == "witness"
+    p3 = SearchTask(n=3, k=3, forbidden=((P3, None),), forbid_rainbow_triangle=True,
+                    symmetry="none")
+    assert search_witness(p3).status == "exhausted"
 
 
 def test_canonical_check_matches_relabel_oracle():

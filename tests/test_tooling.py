@@ -344,10 +344,13 @@ def partial_coloring_writes(tree: ast.Module, state: set[str]):
 def test_only_search_writes_partial_coloring_state():
     # search_witness writes its moves straight into a PartialColoring's
     # lists, unchecked, and the class has no edit API; no other module
-    # writes them, so the unchecked bookkeeping stays in search.py
+    # writes them, so the unchecked bookkeeping stays in search.py.  The
+    # rainbow rule lives in the search's domains, so the state keeps no
+    # any-color adjacency
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
-    state = {"colors", "masks", "assigned"}
-    assert state <= class_slots(tree, "PartialColoring")
+    state = {"colors", "masks"}
+    slots = class_slots(tree, "PartialColoring")
+    assert state <= slots and not slots & {"assigned", "_rainbow"}
     assert list(partial_coloring_writes(tree, state))
     found = [
         f"{path.name}:{lineno}"
@@ -364,7 +367,9 @@ def test_search_kernels_run_only_inside_conflict():
     # the benchmark and the tests count probes by wrapping
     # PartialColoring.conflict on the class; a kernel run from anywhere
     # else in search.py would be a probe that no counter sees.  The
-    # per-color checks are built in __init__ and read only by conflict
+    # per-color checks are built in __init__ and read only by conflict,
+    # which checks patterns only: one statement over masks and _through,
+    # with no rainbow kernel left for the search to call
     tree = ast.parse((PACKAGE / "search.py").read_text(encoding="utf-8"))
     [cls] = [
         node
@@ -381,8 +386,19 @@ def test_search_kernels_run_only_inside_conflict():
             or isinstance(sub, ast.Attribute) and sub.attr == name
         }
 
-    rainbow = uses(methods["conflict"], "rainbow_thirds")
-    assert rainbow and uses(tree, "rainbow_thirds") == rainbow
+    for name in ("search.py", "kernels.py"):
+        source = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        assert not uses(source, "rainbow_thirds"), name
+    conflict = methods["conflict"]
+    assert len(conflict.body) == 2 and isinstance(conflict.body[1], ast.Return)
+    reads = {
+        sub.attr
+        for sub in ast.walk(conflict)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "self"
+    }
+    assert reads == {"masks", "_through"}
     checks = uses(methods["conflict"], "_through")
     built = uses(methods["__init__"], "_through")
     assert checks and built and uses(tree, "_through") == checks | built
