@@ -109,9 +109,9 @@ def cmd_construct(args) -> int:
     coloring, trace = build_lower_bound_witness(
         args.k, base, rim=args.rim, base_label=label
     )
-    doc = ColoringDocument.sealed(
-        coloring, provenance={"kind": "construction", "trace": trace_to_json(trace)}
-    )
+    trace_json = trace_to_json(trace)
+    provenance = {"kind": "construction", "rim": args.rim, "trace": trace_json}
+    doc = ColoringDocument.sealed(coloring, provenance=provenance)
     _emit(doc, args.out, args.format)
     if args.out:
         print(f"n={coloring.n} k={coloring.k} digest={doc.digest}")

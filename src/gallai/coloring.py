@@ -312,28 +312,18 @@ def join(c1: EdgeColoring, c2: EdgeColoring, fresh_color: int) -> EdgeColoring:
     return substitute(EdgeColoring(2, fresh_color, (fresh_color,)), (c1, c2))
 
 
-def substitute(
-    quotient: EdgeColoring,
-    parts: Sequence[EdgeColoring],
-    strict: bool = False,
-) -> EdgeColoring:
+def substitute(quotient: EdgeColoring, parts: Sequence[EdgeColoring]) -> EdgeColoring:
     """Blow up each quotient vertex i into the coloring parts[i].
 
     Edges inside part i keep their color; edges between parts i and j
-    all take the quotient color of (i, j).  With ``strict=True`` the
-    quotient colors must be disjoint from all part colors, so that the
-    block structure stays recoverable from the result.
+    all take the quotient color of (i, j).  Quotient colors may recur
+    inside parts: `join` refuses that for colorings, and
+    `validate_trace` for the blow-ups of a construction trace.
     """
     _operands(quotient, *parts)
     p = quotient.n
     if len(parts) != p:
         raise ValueError(f"quotient has {p} vertices but {len(parts)} parts given")
-    if strict:
-        cross = quotient.colors_used()
-        for i, part in enumerate(parts):
-            shared = cross & part.colors_used()
-            if shared:
-                raise ValueError(f"part {i} reuses quotient colors {sorted(shared)}")
     k = max(quotient.k, max(part.k for part in parts))
     store, cat = _STORES[k >= 256]  # built in the type _fill keeps
     qcolors = iter(quotient._colors)  # row-major: (i, j) for j > i in turn

@@ -5,8 +5,10 @@ monochromatic target wheel, then alternate two Gallai-ness-preserving
 steps.  Going from k-1 to an odd k joins two copies of the previous
 witness with a fresh color.  Going from k-2 to an even k substitutes
 five copies of the previous witness into a pentagon quotient colored
-with two fresh colors.  Neither step can create a rainbow triangle or
-a new monochromatic wheel, so the base property propagates.
+with two fresh colors.  Both steps are blow-ups whose quotient colors
+are new to every block, and the trace records both as such: a join is
+the blow-up of K2.  Neither step can create a rainbow triangle or a
+new monochromatic wheel, so the base property propagates.
 
 `f_value` gives the resulting vertex counts in closed form, and
 the Gallai-Ramsey lower bound they certify is one more than that.
@@ -27,7 +29,7 @@ from .coloring import (
 from .detect import find_mono
 from .errors import PreconditionError, exact_int
 from .patterns import PatternSpec
-from .trace import BaseTrace, BlowupTrace, ConstructionTrace, JoinTrace
+from .trace import BaseTrace, BlowupTrace, ConstructionTrace
 
 __all__ = [
     "f_value",
@@ -119,7 +121,8 @@ def build_lower_bound_witness(
         tr = BlowupTrace(quotient, (tr,) * 5, col.n, tuple(range(1, kk + 1)))
     if k % 2:
         col = join(col, col, k)
-        tr = JoinTrace(tr, tr, k, col.n, tuple(range(1, k + 1)))
+        quotient = EdgeColoring(2, k, (k,))  # K2 in the fresh color, as join uses
+        tr = BlowupTrace(quotient, (tr, tr), col.n, tuple(range(1, k + 1)))
     return col, tr
 
 

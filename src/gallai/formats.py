@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .coloring import EdgeColoring, _color_text, canonical_digest, edge_index
 from .errors import _Record
@@ -227,7 +227,7 @@ def parse_text(text: str) -> ColoringDocument:
 
 def _read_rows(
     rows: list[str], n: int, k: int, linenos: Optional[list[int]] = None
-) -> Union[bytes, list[int]]:
+) -> bytes | list[int]:
     # the colour store of the n - 1 rows of a .grc file or a JSON document,
     # each stripped of its surrounding blanks.  A .grc row is named in
     # messages by its line number, a JSON row (no linenos) by its index
@@ -262,7 +262,7 @@ def _read_rows(
     # a row at a time into the store EdgeColoring keeps, bytes for
     # k < 256.  A colour past 255 is past k there: the rest goes to a
     # list, and the constructor names the first bad edge
-    store: Union[bytearray, list[int]] = bytearray() if k < 256 else []
+    store: bytearray | list[int] = bytearray() if k < 256 else []
     for u, line in enumerate(rows):
         values = _ints(line.split(), where(u))
         try:
@@ -294,7 +294,7 @@ def render_json(doc: ColoringDocument) -> dict[str, Any]:
     }
 
 
-def parse_json(data: Union[str, dict[str, Any]]) -> ColoringDocument:
+def parse_json(data: str | dict[str, Any]) -> ColoringDocument:
     walk = True  # a dict from the caller; in a text, only a NaN forces it
     if isinstance(data, str):
         try:
@@ -383,7 +383,7 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _pick_format(path: Union[str, Path], fmt: Optional[str]) -> str:
+def _pick_format(path: str | Path, fmt: Optional[str]) -> str:
     if fmt is not None:
         if fmt not in ("grc", "json"):
             raise FormatError(f"unknown format {fmt!r}")
@@ -391,7 +391,7 @@ def _pick_format(path: Union[str, Path], fmt: Optional[str]) -> str:
     return "json" if str(path).endswith(".json") else "grc"
 
 
-def read_document(path: Union[str, Path], fmt: Optional[str] = None) -> ColoringDocument:
+def read_document(path: str | Path, fmt: Optional[str] = None) -> ColoringDocument:
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as exc:  # a non-ASCII byte
@@ -402,7 +402,7 @@ def read_document(path: Union[str, Path], fmt: Optional[str] = None) -> Coloring
 
 
 def write_document(
-    path: Union[str, Path], doc: ColoringDocument, fmt: Optional[str] = None
+    path: str | Path, doc: ColoringDocument, fmt: Optional[str] = None
 ) -> None:
     if _pick_format(path, fmt) == "json":
         payload = _json_text(render_json(doc))
@@ -411,7 +411,7 @@ def write_document(
     _write_text(path, payload)
 
 
-def _write_text(path: Union[str, Path], text: str) -> None:
+def _write_text(path: str | Path, text: str) -> None:
     # how every file of the package is written: ASCII, with "\n" line ends
     # on every platform, where Path.write_text would translate them
     with open(path, "w", encoding="ascii", newline="\n") as fh:

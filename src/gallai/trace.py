@@ -1,8 +1,11 @@
 """Construction traces: reproducible recipes for built colorings.
 
 A trace records how a coloring was assembled from a base witness by
-joins and blow-ups, enough to audit size and color bookkeeping without
-rebuilding the object.  Traces serialize to plain JSON dicts.
+blow-ups, enough to audit size and color bookkeeping without
+rebuilding the object.  A join is the blow-up of a two-vertex
+quotient, so a trace has one composition node and one fresh-color
+rule.  Traces serialize to plain JSON dicts; the ``join`` nodes that
+earlier builds wrote still read, as two-part blow-ups.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .formats import _read_payload, _write_payload
 
 __all__ = [
     "BaseTrace",
-    "JoinTrace",
     "BlowupTrace",
     "ConstructionTrace",
     "validate_trace",
@@ -34,17 +36,6 @@ class BaseTrace(_Record):
     colors: tuple[int, ...]
 
 
-class JoinTrace(_Record):
-    """Two subconstructions joined with a fresh cross color."""
-
-    __slots__ = ("left", "right", "fresh_color", "size", "colors")
-    left: ConstructionTrace
-    right: ConstructionTrace
-    fresh_color: int
-    size: int
-    colors: tuple[int, ...]
-
-
 class BlowupTrace(_Record):
     """Children substituted into the vertices of a small quotient coloring."""
 
@@ -55,54 +46,44 @@ class BlowupTrace(_Record):
     colors: tuple[int, ...]
 
 
-ConstructionTrace = BaseTrace | JoinTrace | BlowupTrace
+ConstructionTrace = BaseTrace | BlowupTrace
 
 
 def validate_trace(trace: ConstructionTrace) -> None:
     """Check size and color arithmetic of a trace tree; raise ValueError.
 
-    Join sizes must add up and the fresh color must be new to both
-    operands.  Blow-up children must match the quotient vertex count,
-    and the quotient may use at most two colors, which keeps the result
-    free of rainbow triangles whenever the children are.
+    A blow-up needs one child per quotient vertex and sizes that add up.
+    Its quotient may use at most two colors, which keeps the result free
+    of rainbow triangles whenever the children are, and none of them may
+    occur in a child, which keeps every old color inside one block.  A
+    join is the blow-up of a two-vertex quotient in its fresh color.
     """
     if isinstance(trace, BaseTrace):
         if trace.size < 1:
             raise ValueError(f"base {trace.label!r} has size {trace.size}")
         return
-    if isinstance(trace, JoinTrace):
-        validate_trace(trace.left)
-        validate_trace(trace.right)
-        want = trace.left.size + trace.right.size
-        if trace.size != want:
-            raise ValueError(f"join size {trace.size} != {want}")
-        below = set(trace.left.colors) | set(trace.right.colors)
-        if trace.fresh_color in below:
-            raise ValueError(f"join color {trace.fresh_color} is not fresh")
-        if set(trace.colors) != below | {trace.fresh_color}:
-            raise ValueError("join color set does not match operands plus fresh color")
-        return
-    if isinstance(trace, BlowupTrace):
-        if len(trace.children) != trace.quotient.n:
-            raise ValueError(
-                f"quotient on {trace.quotient.n} vertices but "
-                f"{len(trace.children)} children"
-            )
-        cross = trace.quotient.colors_used()
-        if len(cross) > 2:
-            raise ValueError(f"quotient uses {len(cross)} colors, at most 2 allowed")
-        below = set()
-        want = 0
-        for child in trace.children:
-            validate_trace(child)
-            below |= set(child.colors)
-            want += child.size
-        if trace.size != want:
-            raise ValueError(f"blow-up size {trace.size} != {want}")
-        if set(trace.colors) != below | cross:
-            raise ValueError("blow-up color set does not match children plus quotient")
-        return
-    raise ValueError(f"not a construction trace: {trace!r}")
+    if not isinstance(trace, BlowupTrace):
+        raise ValueError(f"not a construction trace: {trace!r}")
+    if len(trace.children) != trace.quotient.n:
+        raise ValueError(
+            f"quotient on {trace.quotient.n} vertices but "
+            f"{len(trace.children)} children"
+        )
+    cross = trace.quotient.colors_used()
+    if len(cross) > 2:
+        raise ValueError(f"quotient uses {len(cross)} colors, at most 2 allowed")
+    below = set()
+    want = 0
+    for child in trace.children:
+        validate_trace(child)
+        below |= set(child.colors)
+        want += child.size
+    if trace.size != want:
+        raise ValueError(f"blow-up size {trace.size} != {want}")
+    if cross & below:
+        raise ValueError(f"quotient colors {sorted(cross & below)} occur in a child")
+    if set(trace.colors) != below | cross:
+        raise ValueError("blow-up color set does not match children plus quotient")
 
 
 def trace_to_json(trace: ConstructionTrace) -> dict[str, Any]:
@@ -111,15 +92,6 @@ def trace_to_json(trace: ConstructionTrace) -> dict[str, Any]:
             "op": "base",
             "label": trace.label,
             "digest": trace.digest,
-            "size": trace.size,
-            "colors": list(trace.colors),
-        }
-    if isinstance(trace, JoinTrace):
-        return {
-            "op": "join",
-            "left": trace_to_json(trace.left),
-            "right": trace_to_json(trace.right),
-            "fresh_color": trace.fresh_color,
             "size": trace.size,
             "colors": list(trace.colors),
         }
@@ -154,20 +126,14 @@ def trace_from_json(data: dict[str, Any]) -> ConstructionTrace:
                 size=size,
                 colors=colors,
             )
-        if op == "join":
-            return JoinTrace(
-                left=trace_from_json(data["left"]),
-                right=trace_from_json(data["right"]),
-                fresh_color=exact_int(data["fresh_color"], "fresh_color"),
-                size=size,
-                colors=colors,
-            )
-        return BlowupTrace(
-            quotient=_read_payload(data["quotient"]),
-            children=tuple(trace_from_json(ch) for ch in data["children"]),
-            size=size,
-            colors=colors,
-        )
+        if op == "join":  # as earlier builds wrote a two-part blow-up
+            fresh = exact_int(data["fresh_color"], "fresh_color")
+            quotient = EdgeColoring(2, fresh, (fresh,))
+            children = (trace_from_json(data["left"]), trace_from_json(data["right"]))
+        else:
+            quotient = _read_payload(data["quotient"])
+            children = tuple(trace_from_json(ch) for ch in data["children"])
+        return BlowupTrace(quotient, children, size, colors)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace JSON: {exc}") from exc
     except RecursionError as exc:  # a tree nested past the interpreter's limit

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the fast
 detectors, the search's conflict checks and its witnesses, plus small
-helpers for building test colorings and search states.
+helpers for building test colorings and search states, and for
+replaying construction traces.
 
 Everything here enumerates vertex subsets and arrangements directly
 with `itertools` and `color_of` lookups.  No bitmask logic is shared
@@ -15,7 +16,7 @@ pattern: a path on 3 vertices has 3 (choice of center), a 4-cycle has
 from itertools import combinations, permutations, product
 import random
 
-from gallai import EdgeColoring
+from gallai import BaseTrace, EdgeColoring, canonical_digest, substitute
 
 
 def arbitrary_coloring(n: int, k: int, seed: int) -> EdgeColoring:
@@ -236,3 +237,13 @@ def color_text(c, row_end):
         text.append(row_end)
         start += width
     return "".join(text)
+
+
+def replay(trace, base):
+    """Rebuild a traced coloring by `substitute` alone: each leaf is
+    ``base``, which must have the digest the leaf names, and each blow-up
+    substitutes its rebuilt children into its quotient."""
+    if isinstance(trace, BaseTrace):
+        assert canonical_digest(base) == trace.digest, trace.label
+        return base
+    return substitute(trace.quotient, [replay(child, base) for child in trace.children])

@@ -55,8 +55,34 @@ def test_construct_writes_file_and_summary(tmp_path, capsys):
     doc = read_document(target)
     assert doc.coloring.n == 70 and doc.coloring.k == 4
     assert doc.provenance["kind"] == "construction"
+    assert doc.provenance["rim"] == 4
     assert doc.provenance["trace"]["op"] == "blowup"
     assert out.strip() == f"n=70 k=4 digest={doc.digest}"
+
+
+def test_construct_records_the_rim_of_a_searched_base(tmp_path, capsys):
+    # a rim-6 base found by the search, and a tower over it whose
+    # document says which wheel it avoids
+    base = tmp_path / "rim6.grc"
+    code, out, _ = run(
+        capsys, "search", "--n", "12", "--k", "2", "--pattern", "wheel:6",
+        "--out", str(base),
+    )
+    assert code == 0 and json.loads(out)["status"] == "witness"
+    tower = tmp_path / "tower.grc"
+    code, out, _ = run(
+        capsys, "construct", "--k", "5", "--rim", "6", "--base", str(base),
+        "--out", str(tower),
+    )
+    assert code == 0
+    doc = read_document(tower)
+    assert doc.coloring.n == 120 and doc.coloring.k == 5
+    assert doc.provenance["kind"] == "construction" and doc.provenance["rim"] == 6
+    assert doc.provenance["trace"]["children"][0]["children"][0]["label"] == "rim6.grc"
+    code, out, _ = run(
+        capsys, "verify", "--in", str(tower), "--pattern", "wheel:6", "--gallai"
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_construct_rejects_bad_base(tmp_path, capsys):

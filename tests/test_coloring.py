@@ -13,7 +13,6 @@ from gallai import (
     ColoringDocument,
     EdgeColoring,
     FormatError,
-    JoinTrace,
     build_lower_bound_witness,
     canonical_digest,
     edge_index,
@@ -330,10 +329,8 @@ def test_substitute_matches_join(pentagon):
 def test_substitute_validates(pentagon):
     with pytest.raises(ValueError):
         substitute(pentagon, [pentagon] * 4)
-    with pytest.raises(ValueError):
-        # strict mode rejects quotient colors that reappear inside parts
-        substitute(EdgeColoring(2, 2, [1]), [pentagon, pentagon], strict=True)
-    # same call is fine without strict
+    # a quotient color may recur inside a part: join refuses that for
+    # colorings, validate_trace for the blow-ups of a trace
     substitute(EdgeColoring(2, 2, [1]), [pentagon, pentagon])
 
 
@@ -661,20 +658,25 @@ def _base_trace(c, label="b"):
     return BaseTrace(label, canonical_digest(c), c.n, tuple(sorted(c.colors_used())))
 
 
+def _join_trace(left, right, fresh, size, colors):
+    # a join as a trace records it: the blow-up of K2 in its fresh color
+    return BlowupTrace(EdgeColoring(2, fresh, (fresh,)), (left, right), size, colors)
+
+
 def test_trace_validation_accepts_good_join(pentagon):
     bt = _base_trace(pentagon)
-    jt = JoinTrace(bt, bt, 3, 10, (1, 2, 3))
-    validate_trace(jt)
+    validate_trace(_join_trace(bt, bt, 3, 10, (1, 2, 3)))
 
 
 def test_trace_validation_rejects_bad_arithmetic(pentagon):
     bt = _base_trace(pentagon)
-    with pytest.raises(ValueError):
-        validate_trace(JoinTrace(bt, bt, 3, 11, (1, 2, 3)))  # size off by one
-    with pytest.raises(ValueError):
-        validate_trace(JoinTrace(bt, bt, 2, 10, (1, 2)))  # fresh color reused
-    with pytest.raises(ValueError):
-        validate_trace(JoinTrace(bt, bt, 3, 10, (1, 2)))  # color set wrong
+    for join_trace, why in [
+        (_join_trace(bt, bt, 3, 11, (1, 2, 3)), "blow-up size 11 != 10"),
+        (_join_trace(bt, bt, 2, 10, (1, 2)), r"quotient colors \[2\] occur in a child"),
+        (_join_trace(bt, bt, 3, 10, (1, 2)), "color set does not match"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            validate_trace(join_trace)
     quotient = EdgeColoring(2, 3, [3])
     validate_trace(BlowupTrace(quotient, (bt, bt), 10, (1, 2, 3)))
     for bad in [
@@ -693,6 +695,26 @@ def test_trace_validation_rejects_bad_arithmetic(pentagon):
             trace_to_json(not_a_trace)
 
 
+def test_trace_validation_rejects_a_quotient_color_used_in_a_child(pentagon):
+    # the fresh-color rule of a join holds for every blow-up: an old color
+    # must stay inside one block, or the wheel argument does not hold
+    bt = _base_trace(pentagon)
+    other = BaseTrace("c", bt.digest, 5, (1, 3))
+    five = recolor(pentagon, {1: 2, 2: 3}, k=3)  # colors 2 and 3
+    validate_trace(BlowupTrace(EdgeColoring(2, 3, [3]), (bt, bt), 10, (1, 2, 3)))
+    for bad, reused in [
+        (BlowupTrace(EdgeColoring(2, 2, [2]), (bt, bt), 10, (1, 2)), r"\[2\]"),
+        (BlowupTrace(EdgeColoring(2, 3, [3]), (bt, other), 10, (1, 2, 3)), r"\[3\]"),
+        (BlowupTrace(five, (bt,) * 5, 25, (1, 2, 3)), r"\[2\]"),
+    ]:
+        with pytest.raises(ValueError, match=f"^quotient colors {reused} occur"):
+            validate_trace(bad)
+    # in a child below a blow-up of fresh colors, too
+    inner = _join_trace(bt, bt, 2, 10, (1, 2))
+    with pytest.raises(ValueError, match="occur in a child"):
+        validate_trace(BlowupTrace(EdgeColoring(2, 3, [3]), (inner, bt), 15, (1, 2, 3)))
+
+
 def test_trace_validation_rejects_wide_quotient(pentagon):
     bt = _base_trace(pentagon)
     rainbow = EdgeColoring(3, 3, [1, 2, 3])
@@ -702,8 +724,8 @@ def test_trace_validation_rejects_wide_quotient(pentagon):
 
 def test_trace_json_round_trip(pentagon):
     bt = _base_trace(pentagon, label="pentagon")
-    quotient = EdgeColoring(2, 3, [3])
-    tr = BlowupTrace(quotient, (JoinTrace(bt, bt, 3, 10, (1, 2, 3)),) * 2, 20, (1, 2, 3))
+    quotient = EdgeColoring(2, 4, [4])
+    tr = BlowupTrace(quotient, (_join_trace(bt, bt, 3, 10, (1, 2, 3)),) * 2, 20, (1, 2, 3, 4))
     validate_trace(tr)
     again = trace_from_json(trace_to_json(tr))
     assert again == tr
@@ -722,11 +744,25 @@ def test_trace_json_round_trip(pentagon):
     ]:
         with pytest.raises(ValueError):
             trace_from_json({**data, key: bad})
+    # a join node, as earlier builds wrote the inner blow-ups, reads as one
     join_data = data["children"][0]
-    with pytest.raises(ValueError):
-        trace_from_json({**join_data, "fresh_color": 3.0})
+    base_data = join_data["children"][0]
+    legacy = {
+        "op": "join",
+        "left": base_data,
+        "right": base_data,
+        "fresh_color": 3,
+        "size": 10,
+        "colors": [1, 2, 3],
+    }
+    assert trace_from_json(legacy) == trace_from_json(join_data) == tr.children[0]
+    for bad in (3.0, True, "3", 0, None):
+        with pytest.raises(ValueError):
+            trace_from_json({**legacy, "fresh_color": bad})
+    for key in ("left", "right", "fresh_color"):
+        with pytest.raises(ValueError, match="malformed trace JSON"):
+            trace_from_json({k: v for k, v in legacy.items() if k != key})
     # a base leaf's label and digest are strings, never coerced
-    base_data = join_data["left"]
     assert trace_from_json(base_data) == bt
     for key, bad in [
         ("digest", None),

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 
 import pytest
 
@@ -8,7 +10,6 @@ from gallai import (
     BaseTrace,
     BlowupTrace,
     EdgeColoring,
-    JoinTrace,
     PatternSpec,
     PreconditionError,
     build_lower_bound_witness,
@@ -17,11 +18,15 @@ from gallai import (
     find_rainbow_triangle,
     has_mono_p3_in_color,
     mono_complete_between,
+    read_document,
     random_gallai,
     restrict,
+    trace_from_json,
+    trace_to_json,
     validate_trace,
     f_value,
 )
+from gallai.cli import main
 
 W4 = PatternSpec.wheel(4)
 
@@ -99,7 +104,10 @@ def test_witness_level_two_is_the_base(base14):
 def test_witness_level_three_structure(base14):
     w, trace = build_lower_bound_witness(3, base14)
     assert w.n == 28 == f_value(3)
-    assert isinstance(trace, JoinTrace) and trace.fresh_color == 3
+    # the join is traced as the blow-up of K2 in its fresh color
+    assert isinstance(trace, BlowupTrace)
+    assert trace.quotient == EdgeColoring(2, 3, [3])
+    assert trace.children == (build_lower_bound_witness(2, base14)[1],) * 2
     validate_trace(trace)
     # both halves are the base, cross edges are color 3
     assert restrict(w, range(14)).edge_colors == base14.edge_colors
@@ -153,6 +161,71 @@ def test_witness_builder_accepts_pentagon_for_its_rim(pentagon):
     # per color class (each class is a 5-cycle)
     w, _ = build_lower_bound_witness(4, pentagon)
     assert w.n == f_value(4, 5) == 25
+
+
+# the trace JSON, compact and key-sorted, that `construct --k 3` wrote
+# while a join was a trace node of its own
+LEGACY_K3_TRACE = (
+    '{"colors":[1,2,3],"fresh_color":3,"left":{"colors":[1,2],"digest":'
+    '"a80daa3d37265d9b9bc4ce3f812e723a15394fbb625d1b573052fa7ac966ab41",'
+    '"label":"base14","op":"base","size":14},"op":"join","right":{"colors":'
+    '[1,2],"digest":"a80daa3d37265d9b9bc4ce3f812e723a15394fbb625d1b573052fa7ac966ab41",'
+    '"label":"base14","op":"base","size":14},"size":28}'
+)
+# sha256 of the same JSON for k = 5 and 7: a join node over blow-ups
+LEGACY_TRACE_SHA256 = {
+    5: "29998a8202f45ec8f6bbfb2778c589cdc503ef51048d90574287c5bbdc5774d6",
+    7: "a24f31e9fbcd75ca0f528aa8f168838b9751497dfc7a3517da8c3bc6df19b034",
+}
+
+
+def _as_legacy_join(data):
+    # an odd level's K2 blow-up node, written as the join node it once was
+    left, right = data["children"]
+    [[_, _, fresh]] = data["quotient"]["edges"]
+    return {
+        "op": "join",
+        "left": left,
+        "right": right,
+        "fresh_color": fresh,
+        "size": data["size"],
+        "colors": data["colors"],
+    }
+
+
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def test_legacy_join_traces_read_as_the_new_builds_traces(base14):
+    _, trace = build_lower_bound_witness(3, base14, base_label="base14")
+    assert trace_from_json(json.loads(LEGACY_K3_TRACE)) == trace
+    assert _compact(_as_legacy_join(trace_to_json(trace))) == LEGACY_K3_TRACE
+    for k, sha in LEGACY_TRACE_SHA256.items():
+        _, trace = build_lower_bound_witness(k, base14, base_label="base14")
+        legacy = _compact(_as_legacy_join(trace_to_json(trace)))
+        assert hashlib.sha256(legacy.encode("ascii")).hexdigest() == sha
+        assert trace_from_json(json.loads(legacy)) == trace
+
+
+def test_traces_replay_to_the_built_towers(base14, tmp_path, capsys):
+    # a second route to each tower: its recorded trace, rebuilt by
+    # substitute alone, against the document `construct` wrote
+    digests = {}
+    for k in range(2, 8):
+        path = tmp_path / f"w{k}.grc"
+        assert main(["construct", "--k", str(k), "--out", str(path)]) == 0
+        doc = read_document(path)
+        assert capsys.readouterr().out.endswith(f" digest={doc.digest}\n")
+        trace = trace_from_json(doc.provenance["trace"])
+        validate_trace(trace)
+        digests[k] = canonical_digest(oracles.replay(trace, base14))
+        assert digests[k] == doc.digest
+    legacy = trace_from_json(json.loads(LEGACY_K3_TRACE))
+    assert canonical_digest(oracles.replay(legacy, base14)) == digests[3]
+    w, trace = build_lower_bound_witness(8, base14)
+    validate_trace(trace)
+    assert oracles.replay(trace, base14) == w
 
 
 def test_random_gallai_determinism():

@@ -14,7 +14,6 @@ from gallai import (
     ColoringDocument,
     Embedding,
     GallaiPartition,
-    JoinTrace,
     PartitionCheck,
     PatternSpec,
     SearchOutcome,
@@ -74,7 +73,6 @@ FIELDS = {
     BaseTrace: dict(
         label="p", digest=canonical_digest(PENTAGON), size=5, colors=(1, 2)
     ),
-    JoinTrace: dict(left=LEAF, right=LEAF, fresh_color=3, size=10, colors=(1, 2, 3)),
     BlowupTrace: dict(quotient=PENTAGON, children=(LEAF,) * 5, size=25, colors=(1, 2)),
 }
 RECORDS = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
@@ -82,7 +80,7 @@ RECORDS = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__nam
 
 def test_every_record_is_covered():
     assert set(_Record.__subclasses__()) == set(FIELDS)
-    assert len(FIELDS) == 13
+    assert len(FIELDS) == 12
 
 
 @RECORDS

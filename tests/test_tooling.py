@@ -509,6 +509,26 @@ def library_modules():
     return [importlib.import_module(f"gallai.{name}") for name in names]
 
 
+def test_benchmark_wraps_only_names_that_exist():
+    # the benchmark's traced passes swap each (module, attribute) of
+    # bench/tracing.py's WRAPPED for a counting wrapper; a renamed function
+    # fails here by name, not inside the benchmark's smoke run
+    path = PACKAGE.parents[1] / "bench" / "tracing.py"
+    [wrapped] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["WRAPPED"]
+    ]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in wrapped
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert wrapped and not missing, missing
+    assert hasattr(importlib.import_module("gallai.search").PartialColoring, "conflict")
+
+
 def test_package_exports_each_module_all_once():
     # a module's __all__ is the single declaration of its public names
     modules = library_modules()
